@@ -8,7 +8,7 @@
 //! answer: is a panic reachable from a decode boundary two calls away?
 //! do two functions acquire the same pair of locks in opposite orders?
 //! does a protocol handler launder wall-clock time through a helper
-//! crate? can a shard-worker event handler block?
+//! crate? can a runtime worker's event handler block?
 //!
 //! Every rule stays deliberately over-approximate (name-based
 //! resolution, token-shape matching): the committed allowlist absorbs
@@ -61,7 +61,7 @@ pub const BOUNDED_EXEMPT_CRATE: &str = "flow";
 /// Crates traversed for transitive panic-freedom (rule 2). PR 5 scoped
 /// this to the four crates holding decode entry points; the call graph
 /// now follows message paths wherever they go — through the flow queues,
-/// the shard runtime, and `newtop-dir`'s recovery code. The harness
+/// the threaded runtime, and `newtop-dir`'s recovery code. The harness
 /// crates (`check`, `workloads`, `bench`, the analyzer) and `newtop-net`
 /// (transport/clock owner, threaded code with legitimate startup
 /// panics) stay out: their name collisions would only manufacture
@@ -80,18 +80,17 @@ pub const ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("GcsMember"), Some("on_message")),
 ];
 
-/// Shard-worker event handlers (rules 2 and 8): the functions the
-/// `newtop-rt` event loop and `newtop-rt-shard{k}-{node}` decode workers
-/// invoke per packet/timer/frame. Everything reachable from these runs
-/// on a worker thread with the whole node behind it: a panic kills the
-/// node, a blocking call stalls every group on the shard.
+/// Worker event handlers (rules 2 and 8): the functions the `newtop-rt`
+/// event loop and `newtop-rt-ingress-{node}` thread invoke per
+/// packet/timer/frame. Everything reachable from these runs on a
+/// runtime thread with the whole node behind it: a panic kills the
+/// node, a blocking call stalls every group the node serves.
 pub const WORKER_ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("Nso"), Some("on_packet")),
     (Some("Nso"), Some("on_timer")),
     (Some("Nso"), Some("on_gcs_message")),
     (Some("Nso"), Some("decode_gcs_frame")),
-    (Some("ShardedGcs"), Some("on_message")),
-    (Some("ShardedGcs"), Some("on_timer")),
+    (Some("GcsMember"), Some("on_timer")),
 ];
 
 /// Handler names that seed the determinism-taint pass (rule 7): the
@@ -244,8 +243,8 @@ fn path_call(toks: &[Token], i: usize, method: &str) -> bool {
 
 /// Transitive panic-freedom on message paths: no `unwrap`/`expect`/
 /// panicking macro/raw indexing/modulo-by-variable in any function
-/// reachable from a network-input decode entry point or a shard-worker
-/// event handler. Malformed bytes must surface as
+/// reachable from a network-input decode entry point or a runtime
+/// worker's event handler. Malformed bytes must surface as
 /// `NewtopError::Malformed`, never as a panic — and a panic *anywhere*
 /// on the path takes the worker thread (and with it the node) down.
 fn panic_free(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
@@ -933,45 +932,39 @@ fn blocking_hit(toks: &[Token], i: usize) -> Option<(&'static str, String)> {
     match t.text.as_str() {
         "sleep" if call => Some((
             "sleep",
-            "thread sleep on a shard-worker path stalls every group on the shard".to_owned(),
+            "thread sleep on a worker path stalls every group on the node".to_owned(),
         )),
         "File" | "OpenOptions" if path_call_any(toks, i) => Some((
             "file-io",
-            format!("{} file I/O on a shard-worker path blocks the worker", t.text),
+            format!("{} file I/O on a worker path blocks the worker", t.text),
         )),
         "fs" if toks.get(i + 1).is_some_and(|n| n.is_punct(':')) => Some((
             "file-io",
-            "std::fs file I/O on a shard-worker path blocks the worker".to_owned(),
+            "std::fs file I/O on a worker path blocks the worker".to_owned(),
         )),
         "sync_all" | "sync_data" if call && after_dot => Some((
             "file-io",
-            format!("fsync (`{}`) on a shard-worker path blocks the worker", t.text),
+            format!("fsync (`{}`) on a worker path blocks the worker", t.text),
         )),
         "wait" | "wait_timeout" | "park" if call && after_dot => Some((
             "wait",
             format!(
-                "`{}` on a shard-worker path is an unbounded wait inside the event pipeline",
+                "`{}` on a worker path is an unbounded wait inside the event pipeline",
                 t.text
             ),
         )),
         "recv" | "recv_timeout" if call && after_dot => Some((
             "blocking-recv",
             format!(
-                "blocking `{}` on a shard-worker path; workers may only block on their own ingress queue",
+                "blocking `{}` on a worker path; workers may only block on their own ingress queue",
                 t.text
             ),
         )),
         // Thread join takes no arguments; `join("...")` on slices does.
-        "join"
-            if call
-                && after_dot
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(')')) =>
-        {
-            Some((
-                "join",
-                "thread join on a shard-worker path blocks the worker".to_owned(),
-            ))
-        }
+        "join" if call && after_dot && toks.get(i + 2).is_some_and(|n| n.is_punct(')')) => Some((
+            "join",
+            "thread join on a worker path blocks the worker".to_owned(),
+        )),
         _ => None,
     }
 }
@@ -982,9 +975,9 @@ fn path_call_any(toks: &[Token], i: usize) -> bool {
         && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
 }
 
-/// Blocking-in-shard-worker: no sleep, file I/O, fsync, condvar wait,
+/// Blocking-in-worker: no sleep, file I/O, fsync, condvar wait,
 /// thread join, or foreign blocking recv anywhere reachable from the
-/// shard-worker event handlers. The `newtop-rt` loops themselves block
+/// worker event handlers. The `newtop-rt` loops themselves block
 /// on their own ingress queues by design — those loop bodies are not
 /// seeds; the handlers they invoke are.
 fn blocking_in_worker(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {

@@ -7,7 +7,7 @@
 //! even if the workspace itself happens to be clean. The graph rewrite
 //! added *multi-file* cases: a panic two calls deep across crates, an
 //! A→B/B→A lock cycle split between files, a determinism taint
-//! laundered through a helper crate, blocking I/O behind a shard-worker
+//! laundered through a helper crate, blocking I/O behind a worker
 //! handler, and a lock held across a call that only sends transitively
 //! — none of which any per-body scan can see.
 
@@ -301,7 +301,7 @@ const CASES: &[Case] = &[
             ),
         ],
     },
-    // rule 8 — blocking reachable from a shard-worker handler
+    // rule 8 — blocking reachable from a worker handler
     Case {
         name: "blocking-in-worker/file-io-behind-handler",
         expect: Some(rules::RULE_BLOCKING),

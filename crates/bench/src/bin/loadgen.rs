@@ -63,8 +63,6 @@ struct Args {
     duration_ms: u64,
     /// Closed-loop client sweep.
     clients: Vec<usize>,
-    /// Shard count for the multi-group run and the threaded runtimes.
-    shards: usize,
     /// Independent services in the multi-group run.
     groups: usize,
 }
@@ -77,7 +75,6 @@ fn parse_args() -> Args {
         rate: 800,
         duration_ms: 1000,
         clients: vec![1, 2, 4, 8],
-        shards: 4,
         groups: 8,
     };
     let mut it = std::env::args().skip(1);
@@ -94,12 +91,11 @@ fn parse_args() -> Args {
             "--seed" => args.seed = value("--seed"),
             "--rate" => args.rate = value("--rate"),
             "--duration-ms" => args.duration_ms = value("--duration-ms"),
-            "--shards" => args.shards = value("--shards") as usize,
             "--groups" => args.groups = value("--groups") as usize,
             "--help" | "-h" => {
                 println!(
                     "loadgen [--smoke] [--json] [--seed N] [--rate N] [--duration-ms N] \
-                     [--shards N] [--groups N]\n\
+                     [--groups N]\n\
                      Closed/open-loop load generator; see the crate docs."
                 );
                 std::process::exit(0);
@@ -228,11 +224,9 @@ fn open_loop_sim(args: &Args, rate: u64) -> OpenSimPoint {
     let mut lat = Histogram::new();
     for &node in &roster {
         let n = h.node(node);
-        for obs in n.gcs().observabilities() {
-            let metrics = &obs.metrics;
-            shed += metrics.counter("flow.shed");
-            peak_depth = peak_depth.max(metrics.gauge("flow.queue_depth_peak").unwrap_or(0));
-        }
+        let metrics = &n.gcs().observability().metrics;
+        shed += metrics.counter("flow.shed");
+        peak_depth = peak_depth.max(metrics.gauge("flow.queue_depth_peak").unwrap_or(0));
         for (at, out) in &n.outputs {
             if let GcsOutput::Delivered { payload, .. } = out {
                 delivered += 1;
@@ -297,7 +291,7 @@ fn closed_loop_threaded(args: &Args) -> ClosedThreaded {
     let nodes: Vec<NodeHandle> = endpoints
         .iter()
         .zip(rxs)
-        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, runtime_options(args)))
+        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, RuntimeOptions::new()))
         .collect();
 
     let servers = vec![ids[0], ids[1]];
@@ -405,7 +399,7 @@ fn open_loop_threaded(args: &Args) -> OpenThreaded {
         .iter()
         .map(|&id| {
             let (transport, rx) = net.endpoint(id);
-            NodeRuntime::spawn(transport, rx, runtime_options(args))
+            NodeRuntime::spawn(transport, rx, RuntimeOptions::new())
         })
         .collect();
     let group = GroupId::new("loadgen-peers");
@@ -515,19 +509,12 @@ fn open_loop_threaded(args: &Args) -> OpenThreaded {
     result
 }
 
-/// Runtime construction shared by the threaded modes: the configured
-/// shard count with batching on.
-fn runtime_options(args: &Args) -> RuntimeOptions {
-    RuntimeOptions::new().with_shards(args.shards)
-}
-
-/// The multi-group sharded run: aggregate closed-loop throughput over
+/// The multi-group run: aggregate closed-loop throughput over
 /// `--groups` independent services from hub clients bound to all of
-/// them, at `--shards` shards with batching on.
+/// them, with batching on.
 struct MultiGroupPoint {
     groups: usize,
     hubs: usize,
-    shards: usize,
     throughput: f64,
     completed: u64,
     duplicated: u32,
@@ -541,7 +528,6 @@ struct MultiGroupPoint {
 fn multi_group_sim(args: &Args) -> MultiGroupPoint {
     let mut scenario = MultiGroupScenario {
         groups: args.groups,
-        shards: args.shards,
         ..MultiGroupScenario::bench_default(args.seed)
     };
     if args.smoke {
@@ -558,7 +544,6 @@ fn multi_group_sim(args: &Args) -> MultiGroupPoint {
     MultiGroupPoint {
         groups: scenario.groups,
         hubs: scenario.hubs,
-        shards: scenario.shards,
         throughput: result.throughput,
         completed: result.completed,
         duplicated: result.duplicated,
@@ -601,8 +586,8 @@ fn main() {
         println!("  \"closed_sim_knee_per_sec\": {knee:.1},");
         println!("  \"multi_group_sim\": {{");
         println!(
-            "    \"groups\": {}, \"hubs\": {}, \"shards\": {}, \"batching\": true,",
-            multi.groups, multi.hubs, multi.shards
+            "    \"groups\": {}, \"hubs\": {}, \"batching\": true,",
+            multi.groups, multi.hubs
         );
         println!(
             "    \"throughput_per_sec\": {:.1}, \"completed\": {},",
@@ -669,8 +654,8 @@ fn main() {
         }
         println!("  knee: {knee:.1}/s");
         println!(
-            "multi-group / simulator ({} services x3, {} hubs, {} shards, batching on)",
-            multi.groups, multi.hubs, multi.shards
+            "multi-group / simulator ({} services x3, {} hubs, batching on)",
+            multi.groups, multi.hubs
         );
         println!(
             "  {:.1}/s aggregate ({} completed), batch {:.2} msgs/frame, p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms",

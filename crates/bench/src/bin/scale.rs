@@ -9,8 +9,7 @@
 //! Flags: `--smoke` (one small cell + sanity assertions, used by
 //! `scripts/check.sh`), `--json` (the `BENCH_PR8.json` document, used
 //! by `scripts/bench_snapshot.sh`), `--markdown` (the `EXPERIMENTS.md`
-//! capacity table), `--seed N`, `--shards N`, `--p99-bound-ms N`,
-//! `--duration-ms N`.
+//! capacity table), `--seed N`, `--p99-bound-ms N`, `--duration-ms N`.
 
 use newtop_bench::bench_seed;
 use newtop_bench::scale::{render_json, render_markdown, run_sweep, sustainable, SweepConfig};
@@ -21,7 +20,6 @@ struct Args {
     json: bool,
     markdown: bool,
     seed: u64,
-    shards: usize,
     p99_bound_ms: u64,
     duration_ms: Option<u64>,
 }
@@ -32,7 +30,6 @@ fn parse_args() -> Args {
         json: false,
         markdown: false,
         seed: bench_seed(),
-        shards: 1,
         p99_bound_ms: 400,
         duration_ms: None,
     };
@@ -49,13 +46,12 @@ fn parse_args() -> Args {
             "--json" => args.json = true,
             "--markdown" => args.markdown = true,
             "--seed" => args.seed = value("--seed"),
-            "--shards" => args.shards = value("--shards") as usize,
             "--p99-bound-ms" => args.p99_bound_ms = value("--p99-bound-ms"),
             "--duration-ms" => args.duration_ms = Some(value("--duration-ms")),
             "--help" | "-h" => {
                 println!(
-                    "scale [--smoke] [--json] [--markdown] [--seed N] [--shards N] \
-                     [--p99-bound-ms N] [--duration-ms N]\n\
+                    "scale [--smoke] [--json] [--markdown] [--seed N] [--p99-bound-ms N] \
+                     [--duration-ms N]\n\
                      Geo-distributed scale-model capacity sweep; see the crate docs."
                 );
                 std::process::exit(0);
@@ -73,7 +69,6 @@ fn main() {
     } else {
         SweepConfig::full(args.seed)
     };
-    cfg.shards = args.shards;
     cfg.p99_bound = Duration::from_millis(args.p99_bound_ms);
     if let Some(ms) = args.duration_ms {
         cfg.duration = Duration::from_millis(ms);
@@ -87,8 +82,8 @@ fn main() {
         print!("{}", render_markdown(&cfg, &outcomes));
     } else {
         println!(
-            "scale-model capacity sweep (seed {}, shards {}, p99 bound {} ms)",
-            cfg.seed, cfg.shards, args.p99_bound_ms
+            "scale-model capacity sweep (seed {}, p99 bound {} ms)",
+            cfg.seed, args.p99_bound_ms
         );
         println!(
             "  {:<13} {:<5} {:<11} {:<6} {:>11} {:>10} {:>10} {:>9}",

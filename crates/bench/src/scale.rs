@@ -29,8 +29,6 @@ use newtop_workloads::{run_scale, RegionMatrix, ScaleResult, ScaleScenario};
 pub struct SweepConfig {
     /// Campaign seed; per-cell seeds are mixed from it.
     pub seed: u64,
-    /// Shard count configured on every node.
-    pub shards: usize,
     /// The sustainability bound on p99 response time.
     pub p99_bound: Duration,
     /// Mean modeled-client think time.
@@ -54,7 +52,6 @@ impl SweepConfig {
     pub fn full(seed: u64) -> Self {
         SweepConfig {
             seed,
-            shards: 1,
             p99_bound: Duration::from_millis(400),
             think_time: Duration::from_secs(120),
             duration: Duration::from_millis(2_400),
@@ -70,7 +67,6 @@ impl SweepConfig {
     pub fn smoke(seed: u64) -> Self {
         SweepConfig {
             seed,
-            shards: 1,
             p99_bound: Duration::from_millis(400),
             think_time: Duration::from_secs(120),
             duration: Duration::from_millis(1_000),
@@ -191,7 +187,6 @@ fn probe(cfg: &SweepConfig, spec: &CellSpec, seed: u64, clients: u64) -> ScaleRe
         mode: spec.mode,
         ordering: spec.ordering,
         region: spec.region,
-        shards: cfg.shards,
         duration: cfg.duration,
         ..ScaleScenario::default_cell(seed)
     };
@@ -285,7 +280,6 @@ pub fn render_json(cfg: &SweepConfig, outcomes: &[CellOutcome]) -> String {
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"scale\",");
     let _ = writeln!(s, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(s, "  \"shards\": {},", cfg.shards);
     let _ = writeln!(s, "  \"p99_bound_ms\": {:.1},", ms(cfg.p99_bound));
     let _ = writeln!(
         s,
@@ -384,9 +378,8 @@ pub fn render_markdown(cfg: &SweepConfig, outcomes: &[CellOutcome]) -> String {
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "(seed {}, shards {}, p99 bound {:.0} ms, think time {:.0} s, probe {} ms)",
+        "(seed {}, p99 bound {:.0} ms, think time {:.0} s, probe {} ms)",
         cfg.seed,
-        cfg.shards,
         ms(cfg.p99_bound),
         cfg.think_time.as_secs_f64(),
         cfg.duration.as_millis()

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use newtop_check::recovery::RecoveryScenario;
-use newtop_check::scenario::{delivery_divergence, GcsScenario, ScenarioRun, NODES};
+use newtop_check::scenario::{GcsScenario, NODES};
 use newtop_check::{Invariant, InvariantChecker, InvariantCounts, Mutation};
 use newtop_gcs::group::OrderProtocol;
 use newtop_net::faults::{FaultOp, FaultPlan};
@@ -44,9 +44,6 @@ OPTIONS:
   --random-plans K   add K seeded random plans to the preset set
   --ordering KIND    sym | asym (default: both)
   --binding KIND     open | closed (default: both)
-  --shards N         per-node shard engines for the GCS scenario
-                     (default 4; each seed is also replayed at shards=1
-                     and the delivery logs must match)
   --gcs-only         skip the request-reply (NSO) scenario
   --nso-only         skip the GCS scenario
   --recovery         run the crash-recovery campaign instead: each cell
@@ -70,7 +67,6 @@ struct Options {
     bindings: Vec<bool>,
     gcs: bool,
     nso: bool,
-    shards: usize,
     mutate: Option<Mutation>,
     recovery: bool,
     quiet: bool,
@@ -86,7 +82,6 @@ fn parse_args() -> Result<Options, String> {
         bindings: vec![false, true],
         gcs: true,
         nso: true,
-        shards: 4,
         mutate: None,
         recovery: false,
         quiet: false,
@@ -121,12 +116,6 @@ fn parse_args() -> Result<Options, String> {
                     "closed" => vec![false],
                     other => return Err(format!("unknown binding {other}\n\n{USAGE}")),
                 };
-            }
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("{e}"))?
-                    .max(1);
             }
             "--gcs-only" => opts.nso = false,
             "--nso-only" => opts.gcs = false,
@@ -283,28 +272,12 @@ fn main() -> ExitCode {
                         binding_label(open),
                     );
                     if opts.gcs {
-                        let scenario = GcsScenario::new(seed, ordering, open, plan.clone())
-                            .with_shards(opts.shards);
-                        let run = scenario.run();
+                        let run = GcsScenario::new(seed, ordering, open, plan.clone()).run();
                         let report = run.check();
                         cell.runs += 1;
                         cell.counts.merge(&report.counts);
                         for v in &report.violations {
                             cell.failures.push(format!("{repro}: {v}"));
-                        }
-                        // Shard determinism: the same seeded cell replayed
-                        // on a single engine must deliver the exact same
-                        // per-group sequences the sharded node delivered.
-                        if opts.shards > 1 {
-                            let baseline = GcsScenario::new(seed, ordering, open, plan.clone())
-                                .with_shards(1)
-                                .run();
-                            if let Some(diff) = delivery_divergence(&baseline, &run) {
-                                cell.failures.push(format!(
-                                    "{repro}: shards=1 vs shards={} delivery logs diverged: {diff}",
-                                    opts.shards
-                                ));
-                            }
                         }
                     }
                     if opts.nso {
@@ -419,15 +392,14 @@ fn print_table(cells: &[CellStats], opts: &Options) {
 /// Recovery campaign: every cell kills a member of both overlapping
 /// groups mid-stream and later recovers it (`recover(node@t)`); the
 /// five standing invariants must hold on the post-recovery logs and the
-/// recovery obligations must hold on the durable evidence. Each seed is
-/// also replayed at shards=1 and the delivery logs must match.
+/// recovery obligations must hold on the durable evidence.
 fn run_recovery_campaign(opts: &Options) -> ExitCode {
     let mut counts = InvariantCounts::default();
     let mut runs = 0u64;
     let mut failures: Vec<String> = Vec::new();
     for &ordering in &opts.orderings {
         for seed in opts.start_seed..opts.start_seed + opts.seeds {
-            let scenario = RecoveryScenario::new(seed, ordering).with_shards(opts.shards);
+            let scenario = RecoveryScenario::new(seed, ordering);
             let repro = scenario.repro();
             let run = scenario.run();
             runs += 1;
@@ -438,25 +410,6 @@ fn run_recovery_campaign(opts: &Options) -> ExitCode {
             }
             for v in run.recovery_violations() {
                 failures.push(format!("{repro}: recovery: {v}"));
-            }
-            if opts.shards > 1 {
-                let baseline = RecoveryScenario::new(seed, ordering).with_shards(1).run();
-                let a = ScenarioRun {
-                    repro: baseline.repro.clone(),
-                    logs: baseline.logs,
-                    sent: baseline.sent,
-                };
-                let b = ScenarioRun {
-                    repro: run.repro.clone(),
-                    logs: run.logs,
-                    sent: run.sent,
-                };
-                if let Some(diff) = delivery_divergence(&a, &b) {
-                    failures.push(format!(
-                        "{repro}: shards=1 vs shards={} delivery logs diverged: {diff}",
-                        opts.shards
-                    ));
-                }
             }
         }
     }
@@ -500,9 +453,7 @@ fn run_mutation_campaign(opts: &Options, plans: &[FaultPlan], mutation: Mutation
     for plan in plans {
         for &ordering in &opts.orderings {
             for seed in opts.start_seed..opts.start_seed + opts.seeds {
-                let scenario =
-                    GcsScenario::new(seed, ordering, false, plan.clone()).with_shards(opts.shards);
-                let run = scenario.run();
+                let run = GcsScenario::new(seed, ordering, false, plan.clone()).run();
                 let mut logs = run.logs;
                 if !mutation.apply(&mut logs) {
                     continue; // run too quiet to host this mutation

@@ -26,7 +26,7 @@ use newtop_net::sim::SimConfig;
 use newtop_net::site::Site;
 use newtop_net::time::SimTime;
 
-use crate::{CheckReport, InvariantChecker, LogEvent, NodeLog, SentRecord};
+use crate::{CheckReport, InvariantChecker, NodeLog, SentRecord};
 
 /// Number of simulated nodes in the scenario.
 pub const NODES: usize = 5;
@@ -50,11 +50,6 @@ pub struct GcsScenario {
     pub base_drop: f64,
     /// Multicast rounds per member (6 rounds span the fault windows).
     pub rounds: u64,
-    /// Parallel shard engines per node (1 = the pre-sharding baseline).
-    /// `ga` and `gb` overlap on n2/n3, so the placement rule pins both
-    /// groups to one shard regardless of this count — which is exactly
-    /// what the shard-determinism check relies on.
-    pub shards: usize,
 }
 
 impl GcsScenario {
@@ -68,15 +63,7 @@ impl GcsScenario {
             plan,
             base_drop: 0.0,
             rounds: 6,
-            shards: 1,
         }
-    }
-
-    /// Sets the per-node shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Sets steady-state packet loss (the proptest satellite runs with
@@ -99,11 +86,10 @@ impl GcsScenario {
     #[must_use]
     pub fn repro(&self) -> String {
         format!(
-            "seed={} ordering={:?} binding={} shards={} plan \"{}\"",
+            "seed={} ordering={:?} binding={} plan \"{}\"",
             self.seed,
             self.ordering,
             if self.open { "open" } else { "closed" },
-            self.shards,
             self.plan,
         )
     }
@@ -113,7 +99,7 @@ impl GcsScenario {
     pub fn run(&self) -> ScenarioRun {
         let mut cfg = SimConfig::lan(self.seed);
         cfg.drop_probability = self.base_drop;
-        let mut h = GcsHarness::new(cfg).with_shards(self.shards);
+        let mut h = GcsHarness::new(cfg);
         let roster = h.add_nodes(Site::Lan, NODES);
         let ga = GroupId::new("ga");
         let gb = GroupId::new("gb");
@@ -161,17 +147,18 @@ impl GcsScenario {
         }
 
         if self.open {
-            // Open-group churn: n4 joins `ga` through n2 (a member of
-            // both groups) and then multicasts into it. If the contact
-            // is dead under this plan the join simply never completes —
-            // the invariants are checked on whatever did happen.
-            h.join(
-                SimTime::from_millis(900),
-                roster[4],
-                &ga,
-                &config,
-                roster[2],
-            );
+            // Open-group churn: n4 (already in `gb`) joins `ga` and then
+            // multicasts into it. Even seeds join through n2, a member
+            // of both groups; odd seeds through n0, which is in `ga`
+            // only. If the contact is dead under this plan the join
+            // simply never completes — the invariants are checked on
+            // whatever did happen.
+            let contact = if self.seed.is_multiple_of(2) {
+                roster[2]
+            } else {
+                roster[0]
+            };
+            h.join(SimTime::from_millis(900), roster[4], &ga, &config, contact);
             for (i, at) in [1100u64, 1250, 1400].into_iter().enumerate() {
                 let payload = format!("{ga}/{}/j{i}", roster[4]);
                 let at = SimTime::from_millis(at + jitter.gen_range(0u64..18));
@@ -256,80 +243,6 @@ impl ScenarioRun {
     pub fn check(&self) -> CheckReport {
         InvariantChecker::new(self.logs.clone(), self.sent.clone()).check()
     }
-}
-
-/// Compares two runs' per-group delivery logs and describes the first
-/// divergence, or returns `None` when every node delivered the same
-/// messages in the same order to every group.
-///
-/// This is the shard-determinism oracle: a scenario replayed with a
-/// different shard count must produce byte-identical delivery sequences
-/// (sender, guarantee, Lamport stamp, payload — virtual timestamps and
-/// view installations are not compared, only what the application
-/// observed as the delivery order).
-#[must_use]
-pub fn delivery_divergence(a: &ScenarioRun, b: &ScenarioRun) -> Option<String> {
-    type Delivery = (newtop_net::site::NodeId, DeliveryOrder, u64, bytes::Bytes);
-    fn deliveries(log: &NodeLog) -> std::collections::BTreeMap<GroupId, Vec<Delivery>> {
-        let mut per_group = std::collections::BTreeMap::new();
-        for g in &log.groups {
-            let seq: Vec<Delivery> = g
-                .events
-                .iter()
-                .filter_map(|ev| match ev {
-                    LogEvent::Delivered {
-                        sender,
-                        order,
-                        lamport,
-                        payload,
-                        ..
-                    } => Some((*sender, *order, *lamport, payload.clone())),
-                    LogEvent::View { .. } => None,
-                })
-                .collect();
-            per_group.insert(g.group.clone(), seq);
-        }
-        per_group
-    }
-
-    if a.logs.len() != b.logs.len() {
-        return Some(format!(
-            "node counts differ ({} vs {})",
-            a.logs.len(),
-            b.logs.len()
-        ));
-    }
-    for (la, lb) in a.logs.iter().zip(&b.logs) {
-        if la.node != lb.node {
-            return Some(format!("node rosters differ ({} vs {})", la.node, lb.node));
-        }
-        let (da, db) = (deliveries(la), deliveries(lb));
-        let groups: std::collections::BTreeSet<&GroupId> = da.keys().chain(db.keys()).collect();
-        for group in groups {
-            let empty = Vec::new();
-            let (sa, sb) = (
-                da.get(group).unwrap_or(&empty),
-                db.get(group).unwrap_or(&empty),
-            );
-            if sa.len() != sb.len() {
-                return Some(format!(
-                    "node {} group {group}: {} vs {} deliveries",
-                    la.node,
-                    sa.len(),
-                    sb.len()
-                ));
-            }
-            for (i, (x, y)) in sa.iter().zip(sb).enumerate() {
-                if x != y {
-                    return Some(format!(
-                        "node {} group {group} delivery #{i}: {:?} vs {:?}",
-                        la.node, x, y
-                    ));
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -447,43 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_single_shard_runs() {
+    fn drop_burst_open_run_passes_under_both_orderings() {
         for ordering in [OrderProtocol::Symmetric, OrderProtocol::Asymmetric] {
-            let make = |shards: usize| {
-                GcsScenario::new(
-                    17,
-                    ordering,
-                    true,
-                    FaultPlan::named("drop").drop_burst(
-                        Duration::from_millis(100),
-                        Duration::from_millis(500),
-                        0.25,
-                    ),
-                )
-                .with_shards(shards)
-            };
-            let (single, sharded) = (make(1).run(), make(4).run());
-            let report = sharded.check();
-            assert!(
-                report.passed(),
-                "{}: {:?}",
-                sharded.repro,
-                report.violations
-            );
-            assert!(
-                delivery_divergence(&single, &sharded).is_none(),
-                "{:?}: shards=1 vs shards=4 diverged: {}",
+            assert_clean(GcsScenario::new(
+                17,
                 ordering,
-                delivery_divergence(&single, &sharded).unwrap(),
-            );
-            // The oracle must be non-vacuous: the run delivered material.
-            let delivered: usize = sharded
-                .logs
-                .iter()
-                .flat_map(|l| &l.groups)
-                .map(|g| g.events.len())
-                .sum();
-            assert!(delivered > 20, "sharded run barely delivered anything");
+                true,
+                FaultPlan::named("drop").drop_burst(
+                    Duration::from_millis(100),
+                    Duration::from_millis(500),
+                    0.25,
+                ),
+            ));
         }
     }
 

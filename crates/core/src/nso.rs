@@ -20,9 +20,8 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use newtop_gcs::group::{DeliveryOrder, FanoutMode, GroupConfig, GroupId, Liveness, OrderProtocol};
-use newtop_gcs::member::{GcsError, GcsNet, GcsOutput, SendBuffer};
+use newtop_gcs::member::{GcsError, GcsMember, GcsNet, GcsOutput, SendBuffer};
 use newtop_gcs::messages::GcsMessage;
-use newtop_gcs::shard::ShardedGcs;
 use newtop_gcs::view::View;
 use newtop_gcs::{GCS_OPERATION, NSO_OBJECT_KEY};
 use newtop_invocation::api::{
@@ -672,39 +671,20 @@ const BATCH_FLUSH_TAG: u64 = tags::NSO_BASE;
 /// aggregation cadence of the GCS sequencer.
 const BATCH_FLUSH_DELAY: Duration = Duration::from_micros(300);
 
-/// Construction options for an [`Nso`]: how many parallel shard engines
-/// partition the node's groups (see [`newtop_gcs::shard::ShardedGcs`])
-/// and whether the send path batches small protocol messages into one
-/// GIOP frame per destination per event. Both default off (one shard, no
-/// batching), which is bit-identical to the pre-sharding stack.
-#[derive(Clone, Debug)]
+/// Construction options for an [`Nso`]: whether the send path batches
+/// small protocol messages into one GIOP frame per destination per
+/// flush window. Batching defaults off, the simulator's deterministic
+/// baseline; the threaded runtime turns it on.
+#[derive(Clone, Debug, Default)]
 pub struct NsoOptions {
-    shards: usize,
     batching: bool,
 }
 
-impl Default for NsoOptions {
-    fn default() -> Self {
-        NsoOptions {
-            shards: 1,
-            batching: false,
-        }
-    }
-}
-
 impl NsoOptions {
-    /// One shard, batching off.
+    /// Batching off.
     #[must_use]
     pub fn new() -> Self {
         NsoOptions::default()
-    }
-
-    /// Sets the number of parallel shard engines (clamped to
-    /// `1..=`[`newtop_gcs::shard::MAX_SHARDS`] at construction).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Enables per-destination batching of small protocol messages.
@@ -712,12 +692,6 @@ impl NsoOptions {
     pub fn with_batching(mut self, on: bool) -> Self {
         self.batching = on;
         self
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Whether send-path batching is enabled.
@@ -731,7 +705,7 @@ impl NsoOptions {
 pub struct Nso {
     node: NodeId,
     orb: OrbCore,
-    gcs: ShardedGcs,
+    gcs: GcsMember,
     batching: bool,
     client: ClientCore,
     servers: BTreeMap<GroupId, ServerCore>,
@@ -820,20 +794,20 @@ fn with_net<R>(
 
 impl Nso {
     /// Creates the service object for `node` with the default options:
-    /// one shard engine and no batching (the deterministic baseline).
+    /// no batching (the deterministic baseline).
     #[must_use]
     pub fn new(node: NodeId) -> Self {
         Nso::with_options(node, NsoOptions::default())
     }
 
     /// Creates the service object for `node` with explicit
-    /// [`NsoOptions`] (shard-engine count, send-path batching).
+    /// [`NsoOptions`] (send-path batching).
     #[must_use]
     pub fn with_options(node: NodeId, opts: NsoOptions) -> Self {
         Nso {
             node,
             orb: OrbCore::new(node),
-            gcs: ShardedGcs::new(node, tags::GCS_BASE, opts.shards),
+            gcs: GcsMember::new(node, tags::GCS_BASE),
             batching: opts.batching,
             client: ClientCore::new(node),
             servers: BTreeMap::new(),
@@ -905,9 +879,7 @@ impl Nso {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut merged = self.obs.metrics.clone();
-        for shard_obs in self.gcs.observabilities() {
-            merged.merge(&shard_obs.metrics);
-        }
+        merged.merge(&self.gcs.observability().metrics);
         merged.snapshot()
     }
 
@@ -917,9 +889,7 @@ impl Nso {
     #[must_use]
     pub fn trace(&self) -> Vec<TraceRecord> {
         let mut records = self.obs.trace.to_vec();
-        for shard_obs in self.gcs.observabilities() {
-            records.extend(shard_obs.trace.iter().cloned());
-        }
+        records.extend(self.gcs.observability().trace.iter().cloned());
         records.sort_by_key(|r| r.at);
         records
     }
@@ -1745,11 +1715,10 @@ impl Nso {
     }
 
     /// Feeds a GCS protocol message the host already decoded off the
-    /// wire — the ingress path for runtimes whose shard workers parse
-    /// and unbatch frames in parallel (see [`Nso::decode_gcs_frame`]).
-    /// Equivalent to [`Nso::on_packet`] on the frame the message came
-    /// from; the message is routed to the shard engine that owns its
-    /// group.
+    /// wire — the ingress path for runtimes that parse and unbatch
+    /// frames off the event loop (see [`Nso::decode_gcs_frame`]).
+    /// Feeding each constituent of a frame in order is equivalent to
+    /// [`Nso::on_packet`] on the frame itself.
     pub fn on_gcs_message(&mut self, msg: GcsMessage, now: SimTime, out: &mut Outbox) {
         let outs = with_net(
             &mut self.orb,
@@ -1769,10 +1738,11 @@ impl Nso {
     /// otherwise.
     ///
     /// This is the CPU-heavy part of packet ingress, and it is pure —
-    /// hosts may run it on parallel decode workers and feed the results
-    /// to [`Nso::on_gcs_message`]. Frames it declines (replies, control
-    /// traffic, invocation messages, malformed bodies) must be fed to
-    /// [`Nso::on_packet`] unchanged so their accounting still happens.
+    /// a host may run it on its ingress thread, off the event loop, and
+    /// feed the results to [`Nso::on_gcs_message`]. Frames it declines
+    /// (replies, control traffic, invocation messages, malformed bodies)
+    /// must be fed to [`Nso::on_packet`] unchanged so their accounting
+    /// still happens.
     #[must_use]
     pub fn decode_gcs_frame(payload: &[u8]) -> Option<Vec<GcsMessage>> {
         let Ok(GiopMessage::Request {

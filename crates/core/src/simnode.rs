@@ -44,8 +44,8 @@ impl NsoNode {
         NsoNode::with_options(node, NsoOptions::default(), app)
     }
 
-    /// Creates the node state with explicit [`NsoOptions`] (shard count,
-    /// send-path batching).
+    /// Creates the node state with explicit [`NsoOptions`] (send-path
+    /// batching).
     #[must_use]
     pub fn with_options(node: NodeId, opts: NsoOptions, app: Box<dyn NsoApp>) -> Self {
         NsoNode {

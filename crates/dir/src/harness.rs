@@ -1,7 +1,7 @@
 //! Simulator harness for durable GCS nodes: crash, cold-restart,
 //! replay, rejoin.
 //!
-//! [`DurableGcsNode`] hosts the same sharded GCS + ORB stack as the
+//! [`DurableGcsNode`] hosts the same GCS member + ORB stack as the
 //! `newtop-gcs` testkit node, but writes every group event through a
 //! [`SharedStore`] (the node's stable storage, held *outside* the
 //! volatile node state so it survives [`SimNode::on_restart`]). After a
@@ -21,8 +21,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
-use newtop_gcs::member::{GcsNet, GcsOutput};
-use newtop_gcs::shard::ShardedGcs;
+use newtop_gcs::member::{GcsMember, GcsNet, GcsOutput};
 use newtop_gcs::testkit::{decode_command, encode_command, Command};
 use newtop_gcs::view::View;
 use newtop_gcs::GCS_OPERATION;
@@ -146,9 +145,8 @@ pub fn decode_recovery(payload: &[u8]) -> Option<Result<RecoveryMsg, CdrError>> 
 /// A simulated node hosting a durably logged GCS stack.
 pub struct DurableGcsNode {
     id: NodeId,
-    shards: usize,
     store: SharedStore,
-    gcs: ShardedGcs,
+    gcs: GcsMember,
     orb: OrbCore,
     /// Every output produced since the last cold start, stamped with
     /// virtual time. A restart moves the accumulated outputs to
@@ -183,15 +181,13 @@ pub struct DurableGcsNode {
 }
 
 impl DurableGcsNode {
-    /// Creates the node state for `id` over `store` with `shards` shard
-    /// engines.
+    /// Creates the node state for `id` over `store`.
     #[must_use]
-    pub fn with_shards(id: NodeId, store: SharedStore, shards: usize) -> Self {
+    pub fn new(id: NodeId, store: SharedStore) -> Self {
         DurableGcsNode {
             id,
-            shards,
             store,
-            gcs: ShardedGcs::new(id, 1 << 40, shards),
+            gcs: GcsMember::new(id, 1 << 40),
             orb: OrbCore::new(id),
             outputs: Vec::new(),
             pre_crash_outputs: Vec::new(),
@@ -523,17 +519,8 @@ impl DurableGcsNode {
                     members: vec![contact],
                 },
             );
-            // Rejoin with the full durably known membership so the
-            // placement rule pins the group to its pre-crash shard.
             let mut net = GcsNet::new(&mut self.orb, out);
-            let _ = self.gcs.join_group_with_membership(
-                group,
-                g.config,
-                contact,
-                view.members(),
-                now,
-                &mut net,
-            );
+            let _ = self.gcs.join_group(group, g.config, contact, now, &mut net);
         }
     }
 }
@@ -586,7 +573,7 @@ impl SimNode for DurableGcsNode {
         // shared store) survives. Mid-event staged-but-unsynced bytes
         // are what a real crash loses.
         self.store.lock().unwrap().crash(self.id);
-        self.gcs = ShardedGcs::new(self.id, 1 << 40, self.shards);
+        self.gcs = GcsMember::new(self.id, 1 << 40);
         self.orb = OrbCore::new(self.id);
         let crashed = std::mem::take(&mut self.outputs);
         self.pre_crash_outputs.extend(crashed);
@@ -604,7 +591,6 @@ pub struct DurableHarness {
     /// The shared stable storage of every node.
     pub store: SharedStore,
     nodes: Vec<NodeId>,
-    shards: usize,
 }
 
 impl DurableHarness {
@@ -615,15 +601,7 @@ impl DurableHarness {
             sim: Sim::new(cfg),
             store: shared_store(),
             nodes: Vec::new(),
-            shards: 1,
         }
-    }
-
-    /// Sets the shard-engine count for nodes added after this call.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// The simulator seed.
@@ -637,7 +615,7 @@ impl DurableHarness {
         let mut ids = Vec::with_capacity(count);
         for _ in 0..count {
             let id = NodeId::from_index(self.nodes.len() as u32);
-            let node = DurableGcsNode::with_shards(id, self.store.clone(), self.shards);
+            let node = DurableGcsNode::new(id, self.store.clone());
             let actual = self.sim.add_node(site, Box::new(node));
             assert_eq!(actual, id, "node id allocation must be dense");
             self.nodes.push(id);

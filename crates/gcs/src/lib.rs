@@ -41,7 +41,6 @@ pub mod engine;
 pub mod group;
 pub mod member;
 pub mod messages;
-pub mod shard;
 pub mod testkit;
 pub mod view;
 
@@ -50,7 +49,6 @@ pub use engine::{DeliveryEngine, EngineConfig};
 pub use group::{DeliveryOrder, GroupConfig, GroupId, Liveness, OrderProtocol};
 pub use member::{GcsError, GcsMember, GcsNet, GcsOutput};
 pub use messages::{DataMsg, GcsMessage};
-pub use shard::ShardedGcs;
 pub use view::{View, ViewId};
 
 /// The object key every NewTop service object registers its protocol

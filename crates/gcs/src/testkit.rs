@@ -20,9 +20,8 @@ use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, CdrError};
 use newtop_orb::orb::{OrbCore, OrbIncoming};
 
 use crate::group::{DeliveryOrder, GroupConfig, GroupId};
-use crate::member::{GcsNet, GcsOutput};
+use crate::member::{GcsMember, GcsNet, GcsOutput};
 use crate::messages::GcsMessage;
-use crate::shard::ShardedGcs;
 use crate::view::View;
 use crate::GCS_OPERATION;
 
@@ -164,37 +163,28 @@ pub fn decode_command(payload: &[u8]) -> Option<Command> {
     Some(cmd)
 }
 
-/// A simulated node hosting its GCS shard engines and ORB.
+/// A simulated node hosting its GCS member and ORB.
 pub struct GcsNode {
-    gcs: ShardedGcs,
+    gcs: GcsMember,
     orb: OrbCore,
     /// Every output the member produced, stamped with virtual time.
     pub outputs: Vec<(SimTime, GcsOutput)>,
 }
 
 impl GcsNode {
-    /// Creates the node state for `id` with a single shard engine (the
-    /// pre-sharding baseline).
+    /// Creates the node state for `id`.
     #[must_use]
     pub fn new(id: NodeId) -> Self {
-        Self::with_shards(id, 1)
-    }
-
-    /// Creates the node state for `id` with `shards` parallel shard
-    /// engines; groups are placed by the [`ShardedGcs`] rule (overlapping
-    /// groups pin to a common shard).
-    #[must_use]
-    pub fn with_shards(id: NodeId, shards: usize) -> Self {
         GcsNode {
-            gcs: ShardedGcs::new(id, 1 << 40, shards),
+            gcs: GcsMember::new(id, 1 << 40),
             orb: OrbCore::new(id),
             outputs: Vec::new(),
         }
     }
 
-    /// The sharded engine set under test.
+    /// The member under test.
     #[must_use]
-    pub fn gcs(&self) -> &ShardedGcs {
+    pub fn gcs(&self) -> &GcsMember {
         &self.gcs
     }
 
@@ -299,30 +289,19 @@ pub struct GcsHarness {
     /// scheduling).
     pub sim: Sim,
     nodes: Vec<NodeId>,
-    /// Shard engines per node added from here on.
-    shards: usize,
     /// Commands queued before their injection time.
     queued: VecDeque<()>,
 }
 
 impl GcsHarness {
-    /// Creates a harness over a fresh simulator. Nodes host a single
-    /// shard engine unless [`Self::with_shards`] raises the count.
+    /// Creates a harness over a fresh simulator.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
         GcsHarness {
             sim: Sim::new(cfg),
             nodes: Vec::new(),
-            shards: 1,
             queued: VecDeque::new(),
         }
-    }
-
-    /// Sets the shard-engine count for nodes added after this call.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// The simulator seed, for reproduction messages: a failing run is
@@ -338,7 +317,7 @@ impl GcsHarness {
         for _ in 0..count {
             // Two-phase: the node needs its own id.
             let id = NodeId::from_index(self.next_index());
-            let node = GcsNode::with_shards(id, self.shards);
+            let node = GcsNode::new(id);
             let actual = self.sim.add_node(site, Box::new(node));
             assert_eq!(actual, id, "node id allocation must be dense");
             self.nodes.push(id);

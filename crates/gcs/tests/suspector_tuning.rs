@@ -86,10 +86,9 @@ fn run_idle_group(
     };
     for &node in &roster {
         let n = h.node(node);
-        for obs in n.gcs().observabilities() {
-            stats.suspicions += obs.metrics.counter("ev.suspected");
-            stats.heartbeats += obs.metrics.counter("ev.time_silence_null");
-        }
+        let metrics = &n.gcs().observability().metrics;
+        stats.suspicions += metrics.counter("ev.suspected");
+        stats.heartbeats += metrics.counter("ev.time_silence_null");
         stats.max_views = stats.max_views.max(h.views(node, &group).len());
     }
     stats

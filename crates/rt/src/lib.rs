@@ -6,19 +6,17 @@
 //! [`newtop_net::tcp::TcpEndpoint`]), so the runnable examples are
 //! genuinely concurrent programs rather than simulations.
 //!
-//! Each node runs an event loop selecting over incoming packets,
-//! application commands and its timer wheel. With more than one shard
-//! configured ([`RuntimeOptions::with_shards`]), packet ingress is
-//! parallelised across shard workers: a distributor fans incoming
-//! packets out to `N` bounded worker queues by source (preserving
-//! per-source FIFO order), each worker pre-decodes and unbatches GCS
-//! frames ([`Nso::decode_gcs_frame`] — the CPU-heavy part of ingress),
-//! and the decoded messages fan back into the event loop, which applies
-//! them to the per-shard protocol engines. Applications drive the node
-//! through a [`NodeHandle`]: [`NodeHandle::with_nso`] runs a closure
-//! against the NSO inside the loop (so no locking is ever needed), and
-//! [`NodeHandle::outputs`] / [`NodeHandle::wait_for_output`] receive the
-//! NSO's outputs.
+//! Each node runs two threads. The ingress thread
+//! (`newtop-rt-ingress-{node}`) takes packets off the transport in
+//! arrival order and decodes and unbatches GCS frames
+//! ([`Nso::decode_gcs_frame`], the CPU-heavy part of ingress); other
+//! packets pass through undecoded. The event loop (`nso-{node}`) selects
+//! over that ingress queue, application commands and its timer wheel,
+//! and applies everything to the node's one protocol engine.
+//! Applications drive the node through a [`NodeHandle`]:
+//! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
+//! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /
+//! [`NodeHandle::wait_for_output`] receive the NSO's outputs.
 //!
 //! ```
 //! use newtop_rt::{NodeRuntime, RuntimeOptions};
@@ -52,27 +50,14 @@ use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
 use newtop_net::transport::WireTransport;
 
-/// Construction options for [`NodeRuntime::spawn`]: shard count, flow
-/// bounds, and send-path batching.
+/// Construction options for [`NodeRuntime::spawn`]: the flow bounds.
 ///
-/// The defaults are the production posture — `min(4, cores)` shards,
-/// batching on, default [`FlowConfig`] queue bounds.
-#[derive(Clone, Debug)]
+/// The defaults are the production posture: default [`FlowConfig`]
+/// queue bounds. Every node runs one protocol engine and always batches
+/// its sends; the read-only accessors below report both facts.
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeOptions {
-    shards: usize,
-    batching: bool,
     flow: FlowConfig,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        RuntimeOptions {
-            shards: cores.min(4),
-            batching: true,
-            flow: FlowConfig::default(),
-        }
-    }
 }
 
 impl RuntimeOptions {
@@ -80,23 +65,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn new() -> Self {
         RuntimeOptions::default()
-    }
-
-    /// Sets the number of protocol shards (clamped to at least 1).
-    /// Groups hash to a shard; each shard owns its engines, clock
-    /// domain, flow ledgers, and ingress queue.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables or disables send-path batching (packing small protocol
-    /// messages for one destination into one batch frame per flush).
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
     }
 
     /// Sets the flow configuration: the command/output/ingress queue
@@ -107,16 +75,19 @@ impl RuntimeOptions {
         self
     }
 
-    /// The configured shard count.
+    /// Protocol engines per node. Always 1: one engine, and so one
+    /// Lamport clock, serves all of a node's groups.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards
+        1
     }
 
-    /// Whether send-path batching is enabled.
+    /// Whether send-path batching is on. Always `true`: the runtime
+    /// packs small protocol messages for one destination into one batch
+    /// frame per flush window.
     #[must_use]
     pub fn batching(&self) -> bool {
-        self.batching
+        true
     }
 
     /// The configured flow bounds.
@@ -232,23 +203,22 @@ impl NodeRuntime {
     /// the node via [`WireTransport::local`]), receiving packets from
     /// `incoming`, configured by `opts`.
     ///
-    /// With `opts.shards() > 1` the runtime also spawns an ingress
-    /// distributor and one decode worker per shard (threads
-    /// `newtop-rt-shard{k}-{node}`); see the crate docs for the
-    /// pipeline. With one shard, packets flow straight into the event
-    /// loop as before.
+    /// The node runs two threads: the event loop `nso-{node}` and the
+    /// ingress thread `newtop-rt-ingress-{node}`, which decodes GCS
+    /// frames off the loop (see the crate docs).
     pub fn spawn<T: WireTransport>(
         transport: T,
         incoming: Receiver<Packet>,
         opts: RuntimeOptions,
     ) -> NodeHandle {
         let node = transport.local();
-        let (cmd_tx, cmd_rx) = bounded::<Command>(opts.flow.queue_capacity);
-        let (out_tx, out_rx) = bounded::<NsoOutput>(opts.flow.queue_capacity);
-        let ingress = spawn_ingress(node, incoming, &opts);
+        let capacity = opts.flow.queue_capacity;
+        let (cmd_tx, cmd_rx) = bounded::<Command>(capacity);
+        let (out_tx, out_rx) = bounded::<NsoOutput>(capacity);
+        let ingress = spawn_ingress(node, incoming, capacity);
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
-            .spawn(move || event_loop(node, &transport, &opts, &ingress, &cmd_rx, &out_tx))
+            .spawn(move || event_loop(node, &transport, &ingress, &cmd_rx, &out_tx))
             .expect("failed to spawn node thread");
         NodeHandle {
             node,
@@ -259,82 +229,34 @@ impl NodeRuntime {
     }
 }
 
-/// What the ingress path hands the event loop: either a raw packet (the
-/// single-shard path, and anything the workers decline to pre-decode) or
-/// the decoded GCS messages of one frame.
+/// What the ingress thread hands the event loop: the decoded GCS
+/// messages of one frame, or any other packet as it arrived.
 enum Ingress {
     Raw(Packet),
     Gcs(Vec<GcsMessage>),
 }
 
-/// Builds the ingress pipeline. With one shard the event loop consumes
-/// `incoming` directly; otherwise a distributor thread fans packets out
-/// to per-shard decode workers (hashing on the source so per-source FIFO
-/// order survives) and the workers' decoded output fans back in over one
-/// bounded channel.
-fn spawn_ingress(
-    node: NodeId,
-    incoming: Receiver<Packet>,
-    opts: &RuntimeOptions,
-) -> Receiver<Ingress> {
-    let capacity = opts.flow.queue_capacity;
-    if opts.shards == 1 {
-        let (tx, rx) = bounded::<Ingress>(capacity);
-        std::thread::Builder::new()
-            .name(format!("newtop-rt-ingress-{node}"))
-            .spawn(move || {
-                while let Ok(pkt) = incoming.recv() {
-                    if tx.send(Ingress::Raw(pkt)).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("failed to spawn ingress thread");
-        return rx;
-    }
-    let (fan_in_tx, fan_in_rx) = bounded::<Ingress>(capacity);
-    let mut shard_queues = Vec::with_capacity(opts.shards);
-    for k in 0..opts.shards {
-        let (tx, rx) = bounded::<Packet>(capacity);
-        shard_queues.push(tx);
-        let fan_in = fan_in_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("newtop-rt-shard{k}-{node}"))
-            .spawn(move || {
-                while let Ok(pkt) = rx.recv() {
-                    let event = match Nso::decode_gcs_frame(&pkt.payload) {
-                        Some(msgs) => Ingress::Gcs(msgs),
-                        None => Ingress::Raw(pkt),
-                    };
-                    if fan_in.send(event).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("failed to spawn shard worker");
-    }
+/// Spawns the ingress thread. It decodes and unbatches GCS frames so
+/// that work stays off the event loop, and passes every other packet
+/// through for [`Nso::on_packet`]. One thread keeps per-source FIFO
+/// order without further bookkeeping.
+fn spawn_ingress(node: NodeId, incoming: Receiver<Packet>, capacity: usize) -> Receiver<Ingress> {
+    let (tx, rx) = bounded::<Ingress>(capacity);
     std::thread::Builder::new()
         .name(format!("newtop-rt-ingress-{node}"))
         .spawn(move || {
             while let Ok(pkt) = incoming.recv() {
-                let shard = (fnv1a(pkt.src.index()) as usize) % shard_queues.len();
-                if shard_queues[shard].send(pkt).is_err() {
+                let event = match Nso::decode_gcs_frame(&pkt.payload) {
+                    Some(msgs) => Ingress::Gcs(msgs),
+                    None => Ingress::Raw(pkt),
+                };
+                if tx.send(event).is_err() {
                     return;
                 }
             }
         })
         .expect("failed to spawn ingress thread");
-    fan_in_rx
-}
-
-/// FNV-1a over the source id — cheap, deterministic shard placement.
-fn fnv1a(x: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    rx
 }
 
 struct TimerEntry {
@@ -364,18 +286,12 @@ impl Ord for TimerEntry {
 fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
-    opts: &RuntimeOptions,
     ingress: &Receiver<Ingress>,
     commands: &Receiver<Command>,
     outputs: &Sender<NsoOutput>,
 ) {
     let start = Instant::now();
-    let mut nso = Nso::with_options(
-        node,
-        NsoOptions::new()
-            .with_shards(opts.shards)
-            .with_batching(opts.batching),
-    );
+    let mut nso = Nso::with_options(node, NsoOptions::new().with_batching(true));
     let mut timers: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
     let mut cancelled: HashSet<TimerId> = HashSet::new();
     let mut next_outbox_timer: u64 = 0;

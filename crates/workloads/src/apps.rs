@@ -441,10 +441,8 @@ struct HubSlot {
 /// A multi-service client hub: binds to several independent services at
 /// once and runs a closed loop (one outstanding call) against each.
 ///
-/// This is the workload the sharded engine partitions: the hub's
-/// bindings share no member but the hub itself, so each client/server
-/// group lands on its own shard, and the hub's protocol work for
-/// independent services proceeds on independent engines.
+/// The hub's bindings share no member but the hub itself, so its one
+/// engine orders several independent services at once.
 pub struct HubApp {
     /// Reply-collection primitive for every call.
     pub mode: ReplyMode,

@@ -27,7 +27,7 @@
 //!
 //! Arrivals are deterministic from the seed alone (timers, not replies,
 //! drive the sampler), so the same seed produces a byte-identical arrival
-//! schedule regardless of server configuration or shard count; the
+//! schedule regardless of server configuration; the
 //! [`AggregateClientApp::arrival_digest`] hashes every arrival instant so
 //! regression tests can assert exactly that.
 
@@ -38,7 +38,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOptions, NsoOutput, ResolveStyle};
+use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput, ResolveStyle};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_dir::app::DirectoryApp;
@@ -360,8 +360,6 @@ pub struct ScaleScenario {
     pub ordering: OrderProtocol,
     /// Geography.
     pub region: RegionMatrix,
-    /// Shard count configured on every node.
-    pub shards: usize,
     /// Reordering window applied to the whole run (ZERO = off).
     pub reorder_window: Duration,
     /// Uniform cross-site bandwidth cap in bytes/second (None = uncapped).
@@ -386,7 +384,6 @@ impl ScaleScenario {
             mode: ReplyMode::First,
             ordering: OrderProtocol::Asymmetric,
             region: RegionMatrix::PaperWan,
-            shards: 1,
             reorder_window: Duration::from_micros(200),
             link_bandwidth: Some(2_500_000),
             duration: Duration::from_millis(2_400),
@@ -457,7 +454,6 @@ pub fn run_scale(s: &ScaleScenario) -> ScaleResult {
     };
     let mut sim = Sim::new(cfg);
     let group = GroupId::new("scale-service");
-    let opts = NsoOptions::new().with_shards(s.shards);
     let server_ids: Vec<NodeId> = (0..s.servers)
         .map(|i| NodeId::from_index(i as u32))
         .collect();
@@ -489,7 +485,7 @@ pub fn run_scale(s: &ScaleScenario) -> ScaleResult {
         };
         let added = sim.add_node(
             s.region.server_site(i),
-            Box::new(NsoNode::with_options(id, opts.clone(), Box::new(app))),
+            Box::new(NsoNode::new(id, Box::new(app))),
         );
         assert_eq!(added, id);
     }
@@ -522,7 +518,7 @@ pub fn run_scale(s: &ScaleScenario) -> ScaleResult {
         let added = sim.add_node_with_service(
             s.region.actor_site(i),
             ServiceProfile::free(),
-            Box::new(NsoNode::with_options(id, opts.clone(), Box::new(app))),
+            Box::new(NsoNode::new(id, Box::new(app))),
         );
         assert_eq!(added, id);
         actor_ids.push(id);
@@ -531,7 +527,7 @@ pub fn run_scale(s: &ScaleScenario) -> ScaleResult {
         let app = DirectoryApp::new(dir_ids.clone(), shared_directory());
         let added = sim.add_node(
             s.region.server_site(j),
-            Box::new(NsoNode::with_options(id, opts.clone(), Box::new(app))),
+            Box::new(NsoNode::new(id, Box::new(app))),
         );
         assert_eq!(added, id);
     }
@@ -622,18 +618,6 @@ mod tests {
         assert_eq!(a.p99, b.p99);
         let c = run_scale(&small_cell(43));
         assert_ne!(a.arrival_digest, c.arrival_digest);
-    }
-
-    #[test]
-    fn arrival_schedule_is_shard_count_invariant() {
-        let mut one = small_cell(7);
-        one.shards = 1;
-        let mut four = small_cell(7);
-        four.shards = 4;
-        let a = run_scale(&one);
-        let b = run_scale(&four);
-        assert_eq!(a.arrival_digest, b.arrival_digest);
-        assert_eq!(a.arrivals, b.arrivals);
     }
 
     #[test]

@@ -624,11 +624,9 @@ pub fn run_peer(s: &PeerScenario) -> PeerResult {
 
 /// A multi-group experiment: `groups` independent replicated services
 /// with disjoint server sets, and `hubs` client nodes each bound to all
-/// of them, running a closed loop per binding. This is the workload the
-/// sharded protocol engine partitions: every node serves several
-/// unrelated groups, and with `shards > 1` each group's work runs on its
-/// own shard engine (batching packs the per-destination protocol traffic
-/// into shared frames).
+/// of them, running a closed loop per binding. Every hub serves several
+/// unrelated groups, so batching can pack the per-destination protocol
+/// traffic of different groups into shared frames.
 #[derive(Clone, Debug)]
 pub struct MultiGroupScenario {
     /// Number of independent services.
@@ -637,8 +635,6 @@ pub struct MultiGroupScenario {
     pub servers_per_group: usize,
     /// Number of hub clients, each bound to every service.
     pub hubs: usize,
-    /// Shard count configured on every node.
-    pub shards: usize,
     /// Whether send-path batching is on.
     pub batching: bool,
     /// Ordering protocol for all groups.
@@ -653,14 +649,13 @@ pub struct MultiGroupScenario {
 
 impl MultiGroupScenario {
     /// The BENCH_PR6 configuration: 8 services x 3 replicas, 12 hubs,
-    /// 4 shards, batching on.
+    /// batching on.
     #[must_use]
     pub fn bench_default(seed: u64) -> Self {
         MultiGroupScenario {
             groups: 8,
             servers_per_group: 3,
             hubs: 12,
-            shards: 4,
             batching: true,
             ordering: OrderProtocol::Asymmetric,
             mode: ReplyMode::All,
@@ -698,9 +693,7 @@ pub struct MultiGroupResult {
 pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duration>) {
     assert!(s.groups > 0 && s.servers_per_group > 0 && s.hubs > 0);
     let mut sim = Sim::new(SimConfig::lan(s.seed));
-    let opts = NsoOptions::new()
-        .with_shards(s.shards)
-        .with_batching(s.batching);
+    let opts = NsoOptions::new().with_batching(s.batching);
     let gs_config = GroupConfig {
         ordering: s.ordering,
         liveness: Liveness::EventDriven,

@@ -6,11 +6,11 @@
 #   the bench_snapshot binary.
 # * BENCH_PR4.json — the flow-control PR's numbers (closed-loop knee,
 #   open-loop saturation sheds and peak queue depth, threaded-runtime
-#   latency percentiles), from the loadgen binary at shards=1 (the
-#   single-engine configuration those numbers were first taken in).
-# * BENCH_PR6.json — the sharded-engine PR's numbers: the same report
-#   at shards=4 with send-path batching, whose multi_group_sim section
-#   is the headline (aggregate throughput across independent groups).
+#   latency percentiles, multi-group throughput with send-path
+#   batching), from the loadgen binary.
+#
+# BENCH_PR6.json is kept as history and no longer regenerated: it was
+# the same loadgen report taken with the since-deleted sharding layer.
 # * BENCH_PR8.json — the scale-model PR's numbers: the geo-distributed
 #   capacity sweep (max sustainable modeled clients per configuration
 #   cell at the p99 bound), from the scale binary.
@@ -34,19 +34,11 @@ cat "$OUT"
 
 OUT4="BENCH_PR4.json"
 
-echo "==> cargo run --release -p newtop-bench --bin loadgen -- --json --shards 1"
-cargo run --release --offline -p newtop-bench --bin loadgen -- --json --shards 1 > "$OUT4"
+echo "==> cargo run --release -p newtop-bench --bin loadgen -- --json"
+cargo run --release --offline -p newtop-bench --bin loadgen -- --json > "$OUT4"
 
 echo "==> wrote $OUT4"
 cat "$OUT4"
-
-OUT6="BENCH_PR6.json"
-
-echo "==> cargo run --release -p newtop-bench --bin loadgen -- --json --shards 4"
-cargo run --release --offline -p newtop-bench --bin loadgen -- --json --shards 4 > "$OUT6"
-
-echo "==> wrote $OUT6"
-cat "$OUT6"
 
 OUT8="BENCH_PR8.json"
 

@@ -63,9 +63,9 @@ cargo build --release --offline -p newtop-check
 echo "==> crash-recovery campaign smoke (5 seeds: replay + delta rejoin obligations)"
 ./target/release/campaign --recovery --seeds 5 --quiet
 
-echo "==> loadgen smoke (flow control engages, queues stay bounded, shards=2 batch)"
+echo "==> loadgen smoke (flow control engages, queues stay bounded, batching on)"
 cargo build --release --offline -p newtop-bench --bin loadgen
-./target/release/loadgen --smoke --shards 2 > /dev/null
+./target/release/loadgen --smoke > /dev/null
 
 echo "==> scale-model smoke (capacity sweep sustains its floor, replays byte-identically)"
 cargo build --release --offline -p newtop-bench --bin scale

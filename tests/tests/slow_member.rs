@@ -63,14 +63,13 @@ fn run_slow_member(ordering: OrderProtocol, seed: u64) {
             flow.peak_in_flight(),
             flow.window()
         );
-        for obs in gcs.observabilities() {
-            let peak_gauge = obs.metrics.gauge("flow.queue_depth_peak").unwrap_or(0);
-            assert!(
-                peak_gauge <= flow.window() as i64,
-                "node {n}: flow.queue_depth_peak {peak_gauge} exceeds the window"
-            );
-            shed += obs.metrics.counter("flow.shed");
-        }
+        let metrics = &gcs.observability().metrics;
+        let peak_gauge = metrics.gauge("flow.queue_depth_peak").unwrap_or(0);
+        assert!(
+            peak_gauge <= flow.window() as i64,
+            "node {n}: flow.queue_depth_peak {peak_gauge} exceeds the window"
+        );
+        shed += metrics.counter("flow.shed");
     }
     assert!(
         shed > 0,
