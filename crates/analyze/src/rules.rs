@@ -82,12 +82,14 @@ pub const ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
 
 /// Worker event handlers (rules 2 and 8): the functions the `newtop-rt`
 /// event loop and `newtop-rt-ingress-{node}` thread invoke per
-/// packet/timer/frame. Everything reachable from these runs on a
-/// runtime thread with the whole node behind it: a panic kills the
-/// node, a blocking call stalls every group the node serves.
+/// packet/timer/frame, and whenever the loop's queue runs empty.
+/// Everything reachable from these runs on a runtime thread with the
+/// whole node behind it: a panic kills the node, a blocking call stalls
+/// every group the node serves.
 pub const WORKER_ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("Nso"), Some("on_packet")),
     (Some("Nso"), Some("on_timer")),
+    (Some("Nso"), Some("on_idle")),
     (Some("Nso"), Some("on_gcs_message")),
     (Some("Nso"), Some("decode_gcs_frame")),
     (Some("GcsMember"), Some("on_timer")),

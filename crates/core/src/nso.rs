@@ -668,7 +668,9 @@ const BATCH_FLUSH_TAG: u64 = tags::NSO_BASE;
 /// How long staged sends may wait for company. Messages staged within
 /// one window share a frame per destination, so this bounds both the
 /// added latency and the coalescing opportunity. Matches the order-record
-/// aggregation cadence of the GCS sequencer.
+/// aggregation cadence of the GCS sequencer. A threaded host flushes
+/// earlier, whenever it runs out of work ([`Nso::on_idle`]); this delay
+/// is the upper bound.
 const BATCH_FLUSH_DELAY: Duration = Duration::from_micros(300);
 
 /// Construction options for an [`Nso`]: whether the send path batches
@@ -734,7 +736,7 @@ pub struct Nso {
     obs: Observability,
     /// Staged batchable sends, persisted across handler events so the
     /// flush window spans them (see [`SendBuffer`]). Flushed by the
-    /// [`BATCH_FLUSH_TAG`] micro-timer.
+    /// [`BATCH_FLUSH_TAG`] micro-timer or, earlier, by [`Nso::on_idle`].
     send_buf: SendBuffer,
     /// Per-binding default reply mode (from [`BindOptions`]).
     default_modes: BTreeMap<GroupId, ReplyMode>,
@@ -1762,6 +1764,28 @@ impl Nso {
             GcsMessage::Batch(msgs) => Some(msgs),
             msg => Some(vec![msg]),
         }
+    }
+
+    /// Sends what the node holds back for company: the staged
+    /// [`SendBuffer`] and every group's pending sequencer order records.
+    ///
+    /// A threaded host calls this whenever its event queue runs empty,
+    /// before it blocks. Under load the queue is not empty, so messages
+    /// still coalesce across events; the batch-flush timer and the
+    /// order-record interval stay the upper bounds. The simulator never
+    /// calls it, so its runs do not change.
+    pub fn on_idle(&mut self, now: SimTime, out: &mut Outbox) {
+        with_net(
+            &mut self.orb,
+            &mut self.obs,
+            out,
+            self.batching,
+            &mut self.send_buf,
+            |net| {
+                self.gcs.on_idle(now, net);
+                net.flush();
+            },
+        );
     }
 
     /// Feeds a fired timer whose tag this NSO owns.

@@ -1,15 +1,17 @@
 //! Edge cases of the NSO public API: bind failures and timeouts, unknown
-//! bindings, plain (non-group) ORB invocations and the naming service.
+//! bindings, plain (non-group) ORB invocations, the naming service, and
+//! the idle flush a threaded host runs when its event queue empties.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, NewtopError, Nso, NsoOutput};
+use newtop::nso::{BindOptions, NewtopError, Nso, NsoOptions, NsoOutput};
 use newtop::simnode::{NsoApp, NsoNode};
-use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
+use newtop_gcs::messages::GcsMessage;
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
-use newtop_net::sim::{Outbox, Sim, SimConfig};
+use newtop_net::sim::{Outbox, OutboxParts, Packet, Sim, SimConfig};
 use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 use newtop_orb::naming::{NameServer, NamingClient};
@@ -385,4 +387,169 @@ fn unbind_tears_the_binding_down() {
         .app_ref::<UnbindClient>()
         .unwrap();
     assert_eq!(app.phase, 2, "bind, unbind and post-unbind error all ran");
+}
+
+/// An NSO with send-path batching on, as the threaded runtime builds it.
+fn batching_nso(node: NodeId) -> Nso {
+    Nso::with_options(node, NsoOptions::new().with_batching(true))
+}
+
+/// Runs one NSO entry point against a fresh outbox and returns its
+/// parts.
+fn step(nso: &mut Nso, f: impl FnOnce(&mut Nso, &mut Outbox)) -> OutboxParts {
+    let mut out = Outbox::detached(0);
+    f(nso, &mut out);
+    out.into_parts()
+}
+
+/// The GCS messages an outbox sends to `to`, batch envelopes unpacked.
+fn gcs_to(parts: &OutboxParts, to: NodeId) -> Vec<GcsMessage> {
+    parts
+        .sends
+        .iter()
+        .filter(|(dst, _)| *dst == to)
+        .flat_map(|(_, frame)| Nso::decode_gcs_frame(frame).unwrap_or_default())
+        .collect()
+}
+
+/// The order records among `msgs`: `(start, entries)` per `SeqOrder`.
+fn order_records(msgs: &[GcsMessage]) -> Vec<(u64, Vec<(NodeId, u64)>)> {
+    msgs.iter()
+        .filter_map(|m| match m {
+            GcsMessage::SeqOrder { start, entries, .. } => Some((*start, entries.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn idle_flush_sends_staged_messages_before_the_batch_timer() {
+    let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
+    let now = SimTime::from_millis(1);
+    let mut nso = batching_nso(a);
+    let mut handle = None;
+    step(&mut nso, |nso, out| {
+        handle = Some(
+            nso.create_peer_group(
+                GroupId::new("peers"),
+                vec![a, b],
+                GroupConfig::peer(),
+                now,
+                out,
+            )
+            .unwrap(),
+        );
+    });
+    let peers = handle.unwrap();
+    let sent = step(&mut nso, |nso, out| {
+        peers
+            .send(
+                nso,
+                Bytes::from_static(b"hi"),
+                DeliveryOrder::Total,
+                now,
+                out,
+            )
+            .unwrap();
+    });
+    assert!(sent.sends.is_empty(), "a peer-group send stages");
+    assert!(
+        sent.timer_sets
+            .iter()
+            .any(|&(_, delay, _)| delay == Duration::from_micros(300)),
+        "staging arms the batch timer"
+    );
+    // Same instant: the batch timer has not fired.
+    let idle = step(&mut nso, |nso, out| nso.on_idle(now, out));
+    assert!(
+        gcs_to(&idle, b)
+            .iter()
+            .any(|m| matches!(m, GcsMessage::Data(d) if d.payload.as_ref() == b"hi")),
+        "the idle flush sends the staged multicast: {:?}",
+        gcs_to(&idle, b)
+    );
+    let again = step(&mut nso, |nso, out| nso.on_idle(now, out));
+    assert!(again.sends.is_empty(), "nothing is left to flush");
+}
+
+#[test]
+fn idle_flush_sends_order_records_held_by_the_interval() {
+    let (seq_node, member_node) = (NodeId::from_index(0), NodeId::from_index(1));
+    let group = GroupId::new("ordered");
+    let config = GroupConfig::peer().with_ordering(OrderProtocol::Asymmetric);
+    let mut sequencer = batching_nso(seq_node);
+    let mut member = batching_nso(member_node);
+    let mut handle = None;
+    for nso in [&mut sequencer, &mut member] {
+        step(nso, |nso, out| {
+            handle = Some(
+                nso.create_peer_group(
+                    group.clone(),
+                    vec![seq_node, member_node],
+                    config.clone(),
+                    SimTime::ZERO,
+                    out,
+                )
+                .unwrap(),
+            );
+        });
+    }
+    let member_group = handle.unwrap();
+    // The member multicasts at `at`; the sequencer receives the frames at
+    // the same instant. Returns what each receipt left in its outbox.
+    let mut multicast = |sequencer: &mut Nso, payload: &'static [u8], at: SimTime| {
+        step(&mut member, |nso, out| {
+            member_group
+                .send(
+                    nso,
+                    Bytes::from_static(payload),
+                    DeliveryOrder::Total,
+                    at,
+                    out,
+                )
+                .unwrap();
+        });
+        let frames = step(&mut member, |nso, out| nso.on_idle(at, out));
+        frames
+            .sends
+            .into_iter()
+            .filter(|(dst, _)| *dst == seq_node)
+            .map(|(dst, payload)| {
+                let pkt = Packet {
+                    src: member_node,
+                    dst,
+                    payload,
+                };
+                step(sequencer, |nso, out| nso.on_packet(&pkt, at, out))
+            })
+            .collect::<Vec<_>>()
+    };
+    // The first record goes out at once (the group was quiet for more
+    // than the interval), staged like any batched send.
+    let t1 = SimTime::from_millis(1);
+    let received = multicast(&mut sequencer, b"first", t1);
+    assert!(received
+        .iter()
+        .all(|p| order_records(&gcs_to(p, member_node)).is_empty()));
+    let idle = step(&mut sequencer, |nso, out| nso.on_idle(t1, out));
+    assert_eq!(
+        order_records(&gcs_to(&idle, member_node)),
+        vec![(1, vec![(member_node, 1)])]
+    );
+    // 100 µs later the next record is inside the 500 µs interval: held,
+    // with the interval's timer armed, until the idle flush sends it.
+    let t2 = SimTime::from_micros(1_100);
+    let received = multicast(&mut sequencer, b"second", t2);
+    assert!(received
+        .iter()
+        .all(|p| order_records(&gcs_to(p, member_node)).is_empty()));
+    assert!(received.iter().any(|p| p
+        .timer_sets
+        .iter()
+        .any(|&(_, delay, _)| delay == Duration::from_micros(500))));
+    let idle = step(&mut sequencer, |nso, out| nso.on_idle(t2, out));
+    assert_eq!(
+        order_records(&gcs_to(&idle, member_node)),
+        vec![(2, vec![(member_node, 2)])]
+    );
 }

@@ -14,9 +14,6 @@
 //!   producer until space frees (counted in [`QueueStats::blocked`]).
 //!   Used where the producer can afford to wait and loss is worse than
 //!   latency (the TCP reader thread).
-//!
-//! Receivers implement the same `poll_for_select` probe as the vendored
-//! crossbeam receiver, so they compose with its `select!` macro.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -382,18 +379,6 @@ impl<T> Receiver<T> {
             capacity: self.shared.capacity,
         }
     }
-
-    /// Polls once for the vendored crossbeam `select!` macro:
-    /// `Some(Ok(v))` on a message, `Some(Err(_))` on disconnect, `None`
-    /// when empty.
-    #[doc(hidden)]
-    pub fn poll_for_select(&self) -> Option<Result<T, RecvError>> {
-        match self.try_recv() {
-            Ok(v) => Some(Ok(v)),
-            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
-            Err(TryRecvError::Empty) => None,
-        }
-    }
 }
 
 impl<T> std::fmt::Debug for Sender<T> {
@@ -480,16 +465,6 @@ mod tests {
         );
         tx.send(9).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(9));
-    }
-
-    #[test]
-    fn poll_for_select_matches_crossbeam_contract() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(rx.poll_for_select(), None);
-        tx.send(7).unwrap();
-        assert_eq!(rx.poll_for_select(), Some(Ok(7)));
-        drop(tx);
-        assert_eq!(rx.poll_for_select(), Some(Err(RecvError)));
     }
 
     #[test]

@@ -26,10 +26,17 @@
 //! holds that peer's data contiguously up to the sequence the timestamp
 //! was attached to. Without this, a null message racing ahead of a lost
 //! data message could commit a total-order position too early.
+//!
+//! The asymmetric protocol's order log is bounded the same way the data
+//! buffers are: [`DeliveryEngine::gc_stable`] drops the positions every
+//! member has delivered, which no member can ask for again. Positions
+//! stay absolute, so [`DeliveryEngine::order_log_len`] still counts every
+//! position the view has ordered.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
+use crate::clock::DepsVector;
 use crate::group::{DeliveryOrder, OrderProtocol};
 use crate::member::GcsError;
 use crate::messages::{ContigVector, DataMsg};
@@ -98,8 +105,16 @@ pub struct DeliveryEngine {
     /// Symmetric protocol: undelivered total-order messages keyed by
     /// (lamport, sender, seq).
     total_queue: BTreeSet<(u64, NodeId, u64)>,
-    /// Asymmetric protocol: the global order log (position 1 at index 0).
-    order_log: Vec<(NodeId, u64)>,
+    /// Asymmetric protocol: the retained tail of the global order log.
+    /// Index 0 holds position `order_base + 1`.
+    order_log: VecDeque<(NodeId, u64)>,
+    /// Order-log positions already dropped by `gc_stable` (every member
+    /// had delivered them).
+    order_base: u64,
+    /// Sequencer only: per other member, the per-sender prefix its data
+    /// messages' `deps` prove it has delivered. Bounds the order-log
+    /// trim: a member that never multicasts keeps the whole log.
+    peer_delivered: BTreeMap<NodeId, DepsVector>,
     /// Out-of-order ordering records awaiting earlier positions.
     pending_order: BTreeMap<u64, (NodeId, u64)>,
     /// Next global position to deliver (1-based).
@@ -149,7 +164,9 @@ impl EngineConfig {
             protocol: self.protocol,
             senders,
             total_queue: BTreeSet::new(),
-            order_log: Vec::new(),
+            order_log: VecDeque::new(),
+            order_base: 0,
+            peer_delivered: BTreeMap::new(),
             pending_order: BTreeMap::new(),
             next_deliver_pos: 1,
             seq_state: SequencerState {
@@ -193,6 +210,12 @@ impl DeliveryEngine {
     pub fn ingest_data(&mut self, msg: impl Into<Arc<DataMsg>>) -> Ingest {
         let msg: Arc<DataMsg> = msg.into();
         debug_assert_eq!(msg.view, self.view, "caller must filter stale views");
+        // On the sequencer, a peer's `deps` are its delivered vector at
+        // send time: proof of which order-log positions it can no longer
+        // ask for (see `trim_order_log`).
+        let proves_delivery = self.protocol == OrderProtocol::Asymmetric
+            && msg.sender != self.me
+            && self.is_sequencer();
         let Some(track) = self.senders.get_mut(&msg.sender) else {
             return Ingest::Duplicate; // not a member of this view
         };
@@ -202,6 +225,12 @@ impl DeliveryEngine {
         track.max_seen = track.max_seen.max(msg.seq);
         let key = (msg.lamport, msg.sender, msg.seq);
         let is_total = msg.order == DeliveryOrder::Total;
+        if proves_delivery {
+            self.peer_delivered
+                .entry(msg.sender)
+                .or_default()
+                .merge(&msg.deps);
+        }
         track.buffer.insert(msg.seq, msg);
         // Advance the contiguous prefix.
         while let Some(next) = track.buffer.get(&(track.contig + 1)) {
@@ -333,9 +362,9 @@ impl DeliveryEngine {
             return None;
         }
         if !self.pending_order.is_empty() {
-            return Some(self.order_log.len() as u64 + 1);
+            return Some(self.order_log_len() + 1);
         }
-        let consumed_all = self.next_deliver_pos > self.order_log.len() as u64;
+        let consumed_all = self.next_deliver_pos > self.order_log_len();
         if consumed_all {
             let unordered_total = self.senders.values().any(|t| {
                 t.buffer.iter().any(|(&seq, m)| {
@@ -343,7 +372,7 @@ impl DeliveryEngine {
                 })
             });
             if unordered_total {
-                return Some(self.order_log.len() as u64 + 1);
+                return Some(self.order_log_len() + 1);
             }
         }
         None
@@ -362,16 +391,16 @@ impl DeliveryEngine {
         }
         for (i, &e) in entries.iter().enumerate() {
             let pos = start + i as u64;
-            let next = self.order_log.len() as u64 + 1;
+            let next = self.order_log_len() + 1;
             match pos.cmp(&next) {
                 std::cmp::Ordering::Less => {} // duplicate
                 std::cmp::Ordering::Equal => {
-                    self.order_log.push(e);
+                    self.order_log.push_back(e);
                     // Drain any buffered successors.
                     loop {
-                        let want = self.order_log.len() as u64 + 1;
+                        let want = self.order_log_len() + 1;
                         match self.pending_order.remove(&want) {
-                            Some(buffered) => self.order_log.push(buffered),
+                            Some(buffered) => self.order_log.push_back(buffered),
                             None => break,
                         }
                     }
@@ -383,27 +412,40 @@ impl DeliveryEngine {
         }
     }
 
-    /// Length of the global order log received/produced so far.
+    /// Length of the global order log received/produced so far: every
+    /// position, including those `gc_stable` has dropped.
     #[must_use]
     pub fn order_log_len(&self) -> u64 {
-        self.order_log.len() as u64
+        self.order_base + self.order_log.len() as u64
     }
 
-    /// A slice of the order log from global position `from_pos`, for
-    /// answering order NACKs. Returns `(start, entries)`.
+    /// Order-log entries still held in memory (diagnostics and tests).
+    #[must_use]
+    pub(crate) fn order_log_retained(&self) -> usize {
+        self.order_log.len()
+    }
+
+    /// The order-log entry at global position `pos`, if retained.
+    fn order_entry(&self, pos: u64) -> Option<(NodeId, u64)> {
+        let idx = pos.checked_sub(self.order_base + 1)?;
+        self.order_log.get(usize::try_from(idx).ok()?).copied()
+    }
+
+    /// A slice of the order log covering up to `max` positions from
+    /// global position `from_pos`, for answering order NACKs. Returns
+    /// `(start, entries)`. Dropped positions are left out, so `start` is
+    /// past `from_pos` when the window begins before the retained tail:
+    /// every member has delivered those positions already.
     #[must_use]
     pub fn order_log_slice(&self, from_pos: u64, max: usize) -> (u64, Vec<(NodeId, u64)>) {
-        let start = from_pos.max(1);
-        let idx = (start - 1) as usize;
-        if idx >= self.order_log.len() {
-            return (start, Vec::new());
-        }
-        let end = (idx + max).min(self.order_log.len());
-        let entries = self
-            .order_log
-            .get(idx..end)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
+        let want = from_pos.max(1);
+        let end = want
+            .saturating_add(u64::try_from(max).unwrap_or(u64::MAX))
+            .min(self.order_log_len() + 1);
+        let start = want.max(self.order_base + 1);
+        let entries = (start..end)
+            .map_while(|pos| self.order_entry(pos))
+            .collect();
         (start, entries)
     }
 
@@ -448,7 +490,7 @@ impl DeliveryEngine {
                         if !deps_ok {
                             break;
                         }
-                        self.order_log.push((sender, next_seq));
+                        self.order_log.push_back((sender, next_seq));
                         new_entries.push((sender, next_seq));
                         self.seq_state.next_pos += 1;
                     }
@@ -598,11 +640,7 @@ impl DeliveryEngine {
     /// Asymmetric total order: deliver along the sequencer's global log.
     fn deliver_asymmetric(&mut self, out: &mut Vec<Arc<DataMsg>>) -> bool {
         let mut progressed = false;
-        loop {
-            let idx = (self.next_deliver_pos - 1) as usize;
-            let Some(&(sender, seq)) = self.order_log.get(idx) else {
-                break;
-            };
+        while let Some((sender, seq)) = self.order_entry(self.next_deliver_pos) {
             let Some(track) = self.senders.get(&sender) else {
                 break;
             };
@@ -666,8 +704,10 @@ impl DeliveryEngine {
     }
 
     /// Garbage-collects messages that are delivered locally and
-    /// acknowledged by every member.
+    /// acknowledged by every member, and order-log positions every member
+    /// has delivered.
     pub fn gc_stable(&mut self) {
+        self.trim_order_log();
         // Disjoint field borrows: `senders` is mutated while `members`,
         // `acked`, and `me` are only read.
         for (&sender, track) in &mut self.senders {
@@ -689,6 +729,37 @@ impl DeliveryEngine {
                 track.buffer.retain(|&seq, _| seq > limit);
             }
         }
+    }
+
+    /// Drops the order log's delivered prefix. A member NACKs only
+    /// positions past its own log, and its log covers every position it
+    /// has delivered, so a position every member has delivered is never
+    /// asked for again. Only the sequencer answers order NACKs: any other
+    /// member drops what it has delivered itself, while the sequencer
+    /// also needs each other member's proof from `peer_delivered`
+    /// (delivery follows the log, so a member that has delivered the
+    /// message at a position has delivered every earlier one).
+    fn trim_order_log(&mut self) {
+        let delivered_here = self.next_deliver_pos.saturating_sub(1);
+        let sequencer = self.is_sequencer();
+        while self.order_base < delivered_here {
+            let Some(&(sender, seq)) = self.order_log.front() else {
+                break;
+            };
+            if sequencer && !self.delivered_by_every_peer(sender, seq) {
+                break;
+            }
+            self.order_log.pop_front();
+            self.order_base += 1;
+        }
+    }
+
+    fn delivered_by_every_peer(&self, sender: NodeId, seq: u64) -> bool {
+        self.members.iter().filter(|&&m| m != self.me).all(|m| {
+            self.peer_delivered
+                .get(m)
+                .is_some_and(|d| d.get(sender) >= seq)
+        })
     }
 
     /// Number of messages currently buffered (diagnostics / tests).
@@ -719,7 +790,6 @@ impl DeliveryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::DepsVector;
     use crate::group::GroupId;
     use bytes::Bytes;
 
@@ -1024,6 +1094,99 @@ mod tests {
         assert_eq!(entries, vec![(n(1), 2), (n(1), 3)]);
         let (_, empty) = seq.order_log_slice(99, 10);
         assert!(empty.is_empty());
+    }
+
+    /// Runs `rounds` rounds in the asymmetric view {0, 1, 2} (sequencer
+    /// 0): each of `senders` multicasts one total-order message stamped
+    /// with its delivered vector, every engine receives every message
+    /// and the sequencer's records, then delivers and collects. Returns
+    /// the engines, sequencer first.
+    fn ordered_rounds(rounds: u64, senders: &[u32]) -> Vec<DeliveryEngine> {
+        let mut engines: Vec<DeliveryEngine> = (0..3)
+            .map(|me| engine(me, &[0, 1, 2], OrderProtocol::Asymmetric))
+            .collect();
+        for r in 1..=rounds {
+            let msgs: Vec<Arc<DataMsg>> = senders
+                .iter()
+                .map(|&s| {
+                    let mut m = msg(s, r, r, DeliveryOrder::Total);
+                    m.deps = DepsVector::from_pairs(engines[s as usize].delivered_vector());
+                    Arc::new(m)
+                })
+                .collect();
+            for e in &mut engines {
+                for m in &msgs {
+                    e.ingest_data(Arc::clone(m));
+                }
+            }
+            let start = engines[0].order_log_len() + 1;
+            let entries = engines[0].sequencer_poll();
+            for e in &mut engines[1..] {
+                e.ingest_order(start, &entries);
+            }
+            for e in &mut engines {
+                assert_eq!(e.drain_deliverable().len(), senders.len());
+                e.gc_stable();
+            }
+        }
+        engines
+    }
+
+    #[test]
+    fn order_logs_stay_small_when_every_member_multicasts() {
+        let rounds = 3_400; // 10,200 ordered messages
+        let engines = ordered_rounds(rounds, &[0, 1, 2]);
+        for e in &engines {
+            assert_eq!(e.order_log_len(), 3 * rounds, "every position counts");
+        }
+        // The sequencer keeps what the last round's deps cannot prove
+        // delivered; the others keep nothing they have delivered.
+        assert!(engines[0].order_log_retained() <= 3);
+        assert_eq!(engines[1].order_log_retained(), 0);
+        assert_eq!(engines[2].order_log_retained(), 0);
+    }
+
+    #[test]
+    fn a_silent_member_keeps_the_sequencers_log_whole() {
+        let rounds = 200;
+        let engines = ordered_rounds(rounds, &[0, 1]);
+        // Member 2 never multicasts, so nothing proves what it delivered.
+        assert_eq!(engines[0].order_log_retained() as u64, 2 * rounds);
+        assert_eq!(engines[0].order_log_len(), 2 * rounds);
+        assert_eq!(engines[2].order_log_retained(), 0);
+    }
+
+    #[test]
+    fn order_nacks_are_answered_from_the_retained_positions() {
+        let engines = ordered_rounds(50, &[0, 1, 2]);
+        let seq = &engines[0];
+        let first_kept = seq.order_log_len() - seq.order_log_retained() as u64 + 1;
+        assert!(first_kept > 1, "the delivered prefix was dropped");
+        // A retained position is answered with its records.
+        let (start, entries) = seq.order_log_slice(first_kept, 256);
+        assert_eq!(start, first_kept);
+        assert_eq!(entries.len(), seq.order_log_retained());
+        assert_eq!(entries.first(), Some(&(n(0), 50)));
+        // A window starting in the dropped prefix yields its retained part.
+        let (start, entries) = seq.order_log_slice(1, 256);
+        assert_eq!(start, first_kept);
+        assert_eq!(entries.len(), seq.order_log_retained());
+        let (_, none) = seq.order_log_slice(1, 3);
+        assert!(none.is_empty(), "the whole window was delivered everywhere");
+    }
+
+    #[test]
+    fn dropped_positions_still_count_and_keep_absolute_numbering() {
+        let mut engines = ordered_rounds(10, &[0, 1, 2]);
+        let member = &mut engines[1];
+        assert_eq!(member.order_log_len(), 30);
+        assert_eq!(member.order_log_retained(), 0);
+        // Records arriving again are duplicates; the next new position
+        // is 31 and is ingested, and a gap past it is reported absolutely.
+        member.ingest_order(30, &[(n(2), 10), (n(0), 11)]);
+        assert_eq!(member.order_log_len(), 31);
+        member.ingest_order(33, &[(n(2), 11)]);
+        assert_eq!(member.order_gap(), Some(32));
     }
 
     // --- stability & GC ---------------------------------------------------

@@ -61,6 +61,8 @@ const VC_RETRIES: u32 = 2;
 /// Minimum spacing between a sequencer's ordering multicasts. When
 /// records become due faster than this, they are batched into one
 /// `SeqOrder` — at light load every record still goes out immediately.
+/// A threaded host also sends held records as soon as it runs out of
+/// work ([`GcsMember::on_idle`]), so the interval is only an upper bound.
 const ORDER_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_micros(500);
 
 /// Errors returned by the group API.
@@ -634,11 +636,12 @@ impl GcsMember {
             return "no such group".to_owned();
         };
         format!(
-            "view={} missing={:?} order_gap={:?} order_len={} buffered={} undelivered={} nack_sched={} vc={} suspects={:?} delivered={:?} contig={:?}",
+            "view={} missing={:?} order_gap={:?} order_len={} order_kept={} buffered={} undelivered={} nack_sched={} vc={} suspects={:?} delivered={:?} contig={:?}",
             state.view,
             state.engine.missing_ranges(),
             state.engine.order_gap(),
             state.engine.order_log_len(),
+            state.engine.order_log_retained(),
             state.engine.buffered_count(),
             state.engine.has_undelivered(),
             state.nack_scheduled,
@@ -1039,6 +1042,24 @@ impl GcsMember {
             TimerKind::OrderFlush => self.on_order_flush_timer(&route.group, now, net),
         }
         std::mem::take(&mut self.pending)
+    }
+
+    /// Sends every group's ordering records held back by the
+    /// [`ORDER_FLUSH_INTERVAL`] pacing, at once. A host calls this when
+    /// its event queue runs empty: records wait for company only while
+    /// more events are queued behind them.
+    pub fn on_idle(&mut self, now: SimTime, net: &mut GcsNet<'_>) {
+        let held: Vec<GroupId> = self
+            .groups
+            .iter()
+            .filter(|(_, state)| {
+                !state.pending_order.is_empty() && state.is_member() && state.engine.is_sequencer()
+            })
+            .map(|(group, _)| group.clone())
+            .collect();
+        for group in held {
+            self.flush_order_records(&group, now, net);
+        }
     }
 
     // --- data path -----------------------------------------------------------

@@ -41,6 +41,21 @@ struct Shared {
     closed: AtomicBool,
 }
 
+impl Shared {
+    /// Empties the connection table and returns its open sockets, so the
+    /// caller closes them with no lock held. The table guard is released
+    /// before any slot is locked (slot locks nest inside the table lock
+    /// everywhere else, so holding it here would invert that order), and
+    /// each slot guard only while its socket is taken out.
+    fn take_conns(&self) -> Vec<TcpStream> {
+        let drained = std::mem::take(&mut *self.conns.lock());
+        drained
+            .into_values()
+            .filter_map(|slot| slot.lock().take())
+            .collect()
+    }
+}
+
 /// A TCP endpoint for one node.
 ///
 /// Create with [`TcpEndpoint::bind`], register peers with
@@ -126,15 +141,8 @@ impl TcpEndpoint {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Take the whole map under the guard, then close the sockets
-        // with it released: per-slot locks (and the socket teardown
-        // behind them) nest inside the registry lock everywhere else,
-        // so holding it here would invert that order.
-        let drained = std::mem::take(&mut *self.shared.conns.lock());
-        for (_, slot) in drained {
-            if let Some(conn) = slot.lock().take() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+        for conn in self.shared.take_conns() {
+            let _ = conn.shutdown(Shutdown::Both);
         }
         // Poke the listener so `accept` returns and the loop observes
         // `closed`.

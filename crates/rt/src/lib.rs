@@ -10,9 +10,13 @@
 //! (`newtop-rt-ingress-{node}`) takes packets off the transport in
 //! arrival order and decodes and unbatches GCS frames
 //! ([`Nso::decode_gcs_frame`], the CPU-heavy part of ingress); other
-//! packets pass through undecoded. The event loop (`nso-{node}`) selects
-//! over that ingress queue, application commands and its timer wheel,
-//! and applies everything to the node's one protocol engine.
+//! packets pass through undecoded. The event loop (`nso-{node}`) waits
+//! on one bounded queue. That queue carries the ingress thread's frames
+//! and packets, application commands and the stop event. The loop blocks
+//! on it until its next timer deadline, so it wakes when work arrives
+//! rather than on a poll, and applies everything to the node's one
+//! protocol engine. Whenever the queue runs empty, the loop first sends
+//! what batching staged ([`Nso::on_idle`]).
 //! Applications drive the node through a [`NodeHandle`]:
 //! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
 //! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /
@@ -40,7 +44,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use newtop_flow::queue::{bounded, QueueStats, Receiver, Sender};
+use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use newtop_flow::FlowConfig;
 
 use newtop::nso::{Nso, NsoOptions, NsoOutput};
@@ -67,8 +71,8 @@ impl RuntimeOptions {
         RuntimeOptions::default()
     }
 
-    /// Sets the flow configuration: the command/output/ingress queue
-    /// bounds and the flow-control window.
+    /// Sets the flow configuration: the event and output queue bounds
+    /// and the flow-control window.
     #[must_use]
     pub fn with_flow(mut self, flow: FlowConfig) -> Self {
         self.flow = flow;
@@ -84,7 +88,8 @@ impl RuntimeOptions {
 
     /// Whether send-path batching is on. Always `true`: the runtime
     /// packs small protocol messages for one destination into one batch
-    /// frame per flush window.
+    /// frame while events keep coming, and sends them when it runs out
+    /// of work.
     #[must_use]
     pub fn batching(&self) -> bool {
         true
@@ -99,10 +104,24 @@ impl RuntimeOptions {
 
 type Command = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
 
+/// What a node's event loop works on. One bounded queue carries all of
+/// it, so the loop blocks in one place and wakes on whichever comes
+/// first.
+enum Event {
+    /// The decoded GCS messages of one frame, from the ingress thread.
+    Gcs(Vec<GcsMessage>),
+    /// Any other packet, as it arrived, from the ingress thread.
+    Raw(Packet),
+    /// An application command ([`NodeHandle::with_nso`]).
+    Command(Command),
+    /// Stop the loop ([`NodeHandle::shutdown`]).
+    Stop,
+}
+
 /// A handle to a node hosted by [`NodeRuntime::spawn`].
 pub struct NodeHandle {
     node: NodeId,
-    commands: Sender<Command>,
+    events: Sender<Event>,
     outputs: Receiver<NsoOutput>,
     join: Option<JoinHandle<()>>,
 }
@@ -132,10 +151,10 @@ impl NodeHandle {
         F: FnOnce(&mut Nso, SimTime, &mut Outbox) -> R + Send + 'static,
     {
         let (tx, rx) = bounded(1);
-        self.commands
-            .send(Box::new(move |nso, now, out| {
+        self.events
+            .send(Event::Command(Box::new(move |nso, now, out| {
                 let _ = tx.send(f(nso, now, out));
-            }))
+            })))
             .expect("node event loop stopped");
         rx.recv().expect("node event loop stopped")
     }
@@ -180,10 +199,12 @@ impl NodeHandle {
     }
 
     fn stop(&mut self) {
-        // Closing the command channel stops the loop.
-        let (dead_tx, _) = bounded(1);
-        let _ = std::mem::replace(&mut self.commands, dead_tx);
+        // The ingress thread holds a sender of the same queue, so
+        // dropping ours would never disconnect it: ask the loop to stop.
+        // Events already queued run first. If the loop has exited, the
+        // queue has no receiver and the send fails at once.
         if let Some(j) = self.join.take() {
+            let _ = self.events.send(Event::Stop);
             let _ = j.join();
         }
     }
@@ -213,50 +234,42 @@ impl NodeRuntime {
     ) -> NodeHandle {
         let node = transport.local();
         let capacity = opts.flow.queue_capacity;
-        let (cmd_tx, cmd_rx) = bounded::<Command>(capacity);
+        let (event_tx, event_rx) = bounded::<Event>(capacity);
         let (out_tx, out_rx) = bounded::<NsoOutput>(capacity);
-        let ingress = spawn_ingress(node, incoming, capacity);
+        spawn_ingress(node, incoming, event_tx.clone());
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
-            .spawn(move || event_loop(node, &transport, &ingress, &cmd_rx, &out_tx))
+            .spawn(move || event_loop(node, &transport, &event_rx, &out_tx))
             .expect("failed to spawn node thread");
         NodeHandle {
             node,
-            commands: cmd_tx,
+            events: event_tx,
             outputs: out_rx,
             join: Some(join),
         }
     }
 }
 
-/// What the ingress thread hands the event loop: the decoded GCS
-/// messages of one frame, or any other packet as it arrived.
-enum Ingress {
-    Raw(Packet),
-    Gcs(Vec<GcsMessage>),
-}
-
 /// Spawns the ingress thread. It decodes and unbatches GCS frames so
 /// that work stays off the event loop, and passes every other packet
 /// through for [`Nso::on_packet`]. One thread keeps per-source FIFO
-/// order without further bookkeeping.
-fn spawn_ingress(node: NodeId, incoming: Receiver<Packet>, capacity: usize) -> Receiver<Ingress> {
-    let (tx, rx) = bounded::<Ingress>(capacity);
+/// order without further bookkeeping. It exits once the event loop has
+/// stopped and the next packet finds the queue without a receiver.
+fn spawn_ingress(node: NodeId, incoming: Receiver<Packet>, events: Sender<Event>) {
     std::thread::Builder::new()
         .name(format!("newtop-rt-ingress-{node}"))
         .spawn(move || {
             while let Ok(pkt) = incoming.recv() {
                 let event = match Nso::decode_gcs_frame(&pkt.payload) {
-                    Some(msgs) => Ingress::Gcs(msgs),
-                    None => Ingress::Raw(pkt),
+                    Some(msgs) => Event::Gcs(msgs),
+                    None => Event::Raw(pkt),
                 };
-                if tx.send(event).is_err() {
+                if events.send(event).is_err() {
                     return;
                 }
             }
         })
         .expect("failed to spawn ingress thread");
-    rx
 }
 
 struct TimerEntry {
@@ -283,118 +296,138 @@ impl Ord for TimerEntry {
     }
 }
 
+/// How long the loop blocks when no timer is armed.
+const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+/// The event loop's side of the NSO: the transport its outboxes go to,
+/// its timer wheel, and the application's output queue.
+struct Host<'a> {
+    transport: &'a dyn WireTransport,
+    outputs: &'a Sender<NsoOutput>,
+    start: Instant,
+    timers: BinaryHeap<Reverse<TimerEntry>>,
+    cancelled: HashSet<TimerId>,
+    next_outbox_timer: u64,
+    timer_seq: u64,
+}
+
+impl Host<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Runs one NSO entry point against a fresh outbox, applies the
+    /// outbox and forwards the NSO's outputs.
+    fn run(&mut self, nso: &mut Nso, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
+        let mut out = Outbox::detached(self.next_outbox_timer);
+        f(nso, self.now(), &mut out);
+        self.apply_outbox(out);
+        for o in nso.take_outputs() {
+            // Never block the event loop on a slow consumer: shed instead
+            // (counted in the queue's stats).
+            let _ = self.outputs.try_send(o);
+        }
+    }
+
+    fn apply_outbox(&mut self, out: Outbox) {
+        let parts = out.into_parts();
+        for id in parts.timer_cancels {
+            self.cancelled.insert(id);
+        }
+        let now = Instant::now();
+        for (id, delay, tag) in parts.timer_sets {
+            if self.cancelled.remove(&id) {
+                continue;
+            }
+            self.timer_seq += 1;
+            self.timers.push(Reverse(TimerEntry {
+                deadline: now + delay,
+                seq: self.timer_seq,
+                id,
+                tag,
+            }));
+        }
+        for (dst, payload) in parts.sends {
+            // Best effort: the protocol layers handle loss via NACKs and
+            // suspicion.
+            let _ = self.transport.send(dst, payload);
+        }
+        self.next_outbox_timer = parts.next_timer;
+    }
+
+    /// Fires every timer whose deadline has passed.
+    fn fire_due(&mut self, nso: &mut Nso) {
+        let now = Instant::now();
+        let mut due = Vec::new();
+        while let Some(Reverse(head)) = self.timers.peek() {
+            if head.deadline > now {
+                break;
+            }
+            let Some(Reverse(entry)) = self.timers.pop() else {
+                break;
+            };
+            if !self.cancelled.remove(&entry.id) {
+                due.push(entry.tag);
+            }
+        }
+        for tag in due {
+            self.run(nso, |nso, now, out| nso.on_timer(tag, now, out));
+        }
+    }
+
+    /// How long the loop may block: until the next timer deadline.
+    fn wait_budget(&self) -> Duration {
+        self.timers.peek().map_or(IDLE_WAIT, |Reverse(t)| {
+            t.deadline.saturating_duration_since(Instant::now())
+        })
+    }
+}
+
+/// The node's event loop. Each turn fires the due timers and takes the
+/// next event. When the queue is empty it first sends what the NSO holds
+/// back for company ([`Nso::on_idle`]), then blocks on the queue until
+/// the next timer deadline, so it wakes as soon as work arrives and
+/// spends no CPU while there is none.
 fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
-    ingress: &Receiver<Ingress>,
-    commands: &Receiver<Command>,
+    events: &Receiver<Event>,
     outputs: &Sender<NsoOutput>,
 ) {
-    let start = Instant::now();
     let mut nso = Nso::with_options(node, NsoOptions::new().with_batching(true));
-    let mut timers: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerId> = HashSet::new();
-    let mut next_outbox_timer: u64 = 0;
-    let mut timer_seq: u64 = 0;
-
-    let now = |start: Instant| SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-
+    let mut host = Host {
+        transport,
+        outputs,
+        start: Instant::now(),
+        timers: BinaryHeap::new(),
+        cancelled: HashSet::new(),
+        next_outbox_timer: 0,
+        timer_seq: 0,
+    };
     loop {
-        // Fire due timers.
-        let mut due: Vec<(TimerId, u64)> = Vec::new();
-        let instant_now = Instant::now();
-        while let Some(Reverse(head)) = timers.peek() {
-            if head.deadline > instant_now {
-                break;
-            }
-            let Reverse(entry) = timers.pop().expect("peeked");
-            if !cancelled.remove(&entry.id) {
-                due.push((entry.id, entry.tag));
-            }
-        }
-        for (_, tag) in due {
-            let mut out = Outbox::detached(next_outbox_timer);
-            nso.on_timer(tag, now(start), &mut out);
-            next_outbox_timer =
-                apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-            drain_outputs(&mut nso, outputs);
-        }
-
-        // Wait for the next packet/command, bounded by the next timer.
-        let timeout = timers
-            .peek()
-            .map_or(Duration::from_millis(50), |Reverse(t)| {
-                t.deadline.saturating_duration_since(Instant::now())
-            });
-
-        crossbeam::channel::select! {
-            recv(ingress) -> event => {
-                let Ok(event) = event else { return };
-                match event {
-                    Ingress::Raw(pkt) => {
-                        let mut out = Outbox::detached(next_outbox_timer);
-                        nso.on_packet(&pkt, now(start), &mut out);
-                        next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                    }
-                    Ingress::Gcs(msgs) => {
-                        for msg in msgs {
-                            let mut out = Outbox::detached(next_outbox_timer);
-                            nso.on_gcs_message(msg, now(start), &mut out);
-                            next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                        }
-                    }
+        host.fire_due(&mut nso);
+        let event = match events.try_recv() {
+            Ok(event) => event,
+            Err(TryRecvError::Disconnected) => return,
+            Err(TryRecvError::Empty) => {
+                host.run(&mut nso, Nso::on_idle);
+                match events.recv_timeout(host.wait_budget()) {
+                    Ok(event) => event,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
-                drain_outputs(&mut nso, outputs);
             }
-            recv(commands) -> cmd => {
-                let Ok(cmd) = cmd else { return };
-                let mut out = Outbox::detached(next_outbox_timer);
-                cmd(&mut nso, now(start), &mut out);
-                next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                drain_outputs(&mut nso, outputs);
+        };
+        match event {
+            Event::Gcs(msgs) => {
+                for msg in msgs {
+                    host.run(&mut nso, |nso, now, out| nso.on_gcs_message(msg, now, out));
+                }
             }
-            default(timeout) => {}
+            Event::Raw(pkt) => host.run(&mut nso, |nso, now, out| nso.on_packet(&pkt, now, out)),
+            Event::Command(cmd) => host.run(&mut nso, cmd),
+            Event::Stop => return,
         }
-    }
-}
-
-fn apply_outbox(
-    transport: &dyn WireTransport,
-    timers: &mut BinaryHeap<Reverse<TimerEntry>>,
-    cancelled: &mut HashSet<TimerId>,
-    timer_seq: &mut u64,
-    out: Outbox,
-) -> u64 {
-    let parts = out.into_parts();
-    for id in parts.timer_cancels {
-        cancelled.insert(id);
-    }
-    let now = Instant::now();
-    for (id, delay, tag) in parts.timer_sets {
-        if cancelled.remove(&id) {
-            continue;
-        }
-        *timer_seq += 1;
-        timers.push(Reverse(TimerEntry {
-            deadline: now + delay,
-            seq: *timer_seq,
-            id,
-            tag,
-        }));
-    }
-    for (dst, payload) in parts.sends {
-        // Best effort: the protocol layers handle loss via NACKs and
-        // suspicion.
-        let _ = transport.send(dst, payload);
-    }
-    parts.next_timer
-}
-
-fn drain_outputs(nso: &mut Nso, outputs: &Sender<NsoOutput>) {
-    for o in nso.take_outputs() {
-        // Never block the event loop on a slow consumer: shed instead
-        // (counted in the queue's stats).
-        let _ = outputs.try_send(o);
     }
 }
 
@@ -406,6 +439,8 @@ mod tests {
     use newtop_gcs::group::{GroupConfig, GroupId};
     use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
     use newtop_net::channel::ChannelNetwork;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn spawn_cluster(n: usize, opts: &RuntimeOptions) -> Vec<NodeHandle> {
         let net = ChannelNetwork::new();
@@ -423,6 +458,94 @@ mod tests {
         let nodes = spawn_cluster(1, &RuntimeOptions::new());
         let id = nodes[0].with_nso(|nso, _, _| nso.node());
         assert_eq!(id, NodeId::from_index(0));
+    }
+
+    #[test]
+    fn shutdown_joins_while_a_peer_keeps_sending() {
+        // The ingress thread holds a sender of the loop's queue, so a
+        // steady stream of packets never lets that queue disconnect: the
+        // loop has to stop on the stop event.
+        let net = ChannelNetwork::new();
+        let me = NodeId::from_index(0);
+        let (transport, incoming) = net.endpoint(me);
+        let node = NodeRuntime::spawn(transport, incoming, RuntimeOptions::new());
+        let (peer, _) = net.endpoint(NodeId::from_index(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (sending_tx, sending_rx) = bounded(1);
+        let flooder = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                // Junk packets: the node counts them as malformed.
+                while !stop.load(Ordering::Relaxed) {
+                    if peer.send(me, Bytes::from_static(b"junk")).is_ok() {
+                        let _ = sending_tx.try_send(());
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        };
+        sending_rx.recv().unwrap();
+        let (done_tx, done_rx) = bounded(1);
+        let stopper = std::thread::spawn(move || {
+            node.shutdown();
+            let _ = done_tx.send(());
+        });
+        let joined = done_rx.recv_timeout(Duration::from_secs(10)).is_ok();
+        stop.store(true, Ordering::Relaxed);
+        flooder.join().unwrap();
+        assert!(joined, "shutdown did not return while a peer kept sending");
+        stopper.join().unwrap();
+    }
+
+    #[test]
+    fn a_command_queued_behind_an_ingress_burst_still_runs() {
+        const BURST: usize = 512;
+        let net = ChannelNetwork::new();
+        let me = NodeId::from_index(0);
+        let (transport, incoming) = net.endpoint(me);
+        let node = Arc::new(NodeRuntime::spawn(
+            transport,
+            incoming,
+            RuntimeOptions::new(),
+        ));
+        // Park the loop inside a command so the burst piles up behind it.
+        let (entered_tx, entered_rx) = bounded(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let parked = {
+            let node = Arc::clone(&node);
+            std::thread::spawn(move || {
+                node.with_nso(move |_, _, _| {
+                    let _ = entered_tx.send(());
+                    let _ = release_rx.recv();
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+        let (peer, _) = net.endpoint(NodeId::from_index(1));
+        for _ in 0..BURST {
+            peer.send(me, Bytes::from_static(b"junk")).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.events.len() < BURST && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued_ahead = node.events.len();
+        // Queue a command behind the burst, then let the loop go.
+        let (ran_tx, ran_rx) = bounded(1);
+        let queued = {
+            let node = Arc::clone(&node);
+            std::thread::spawn(move || {
+                let _ = ran_tx.send(node.with_nso(|nso, _, _| nso.node()));
+            })
+        };
+        while node.events.len() <= queued_ahead && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release_tx.send(()).unwrap();
+        parked.join().unwrap();
+        assert_eq!(queued_ahead, BURST, "the burst was queued ahead");
+        assert_eq!(ran_rx.recv_timeout(Duration::from_secs(10)), Ok(me));
+        queued.join().unwrap();
     }
 
     #[test]

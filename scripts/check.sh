@@ -71,6 +71,22 @@ echo "==> scale-model smoke (capacity sweep sustains its floor, replays byte-ide
 cargo build --release --offline -p newtop-bench --bin scale
 ./target/release/scale --smoke > /dev/null
 
+echo "==> perfbench smoke (the benchmark builds, a short invoke-open run is correct, its lockfile stays put)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perfbench_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload invoke-open --seconds 2 --trace 0 | tail -n 1)
+case "$perfbench_last" in
+    *'"correct": true'*) ;;
+    *)
+        echo "ERROR: perfbench invoke-open smoke was not correct: $perfbench_last" >&2
+        exit 1
+        ;;
+esac
+if ! git diff --quiet -- perfbench/Cargo.lock; then
+    echo "ERROR: building perfbench rewrote perfbench/Cargo.lock; a dependency of a crate it builds changed" >&2
+    exit 1
+fi
+
 echo "==> no build artifacts under version control"
 if [ -n "$(git ls-files target/)" ]; then
     echo "ERROR: target/ files are tracked by git; run 'git rm -r --cached target/'" >&2
