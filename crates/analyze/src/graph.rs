@@ -177,7 +177,10 @@ pub const CRATE_DEPS: &[(&str, &[&str])] = &[
         "workloads",
         &["net", "orb", "gcs", "invocation", "core", "dir"],
     ),
-    ("check", &["net", "gcs", "invocation", "workloads", "dir"]),
+    (
+        "check",
+        &["net", "gcs", "core", "invocation", "workloads", "dir"],
+    ),
     (
         "bench",
         &[

@@ -252,7 +252,7 @@ fn path_call(toks: &[Token], i: usize, method: &str) -> bool {
 fn panic_free(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
     let in_scope = |id: FnId| {
         let path = &graph.file(id).path;
-        crate_of(path).is_some_and(|c| PANIC_FREE_CRATES.contains(&c)) && !path.contains("testkit")
+        crate_of(path).is_some_and(|c| PANIC_FREE_CRATES.contains(&c))
     };
     let mut seeds = seeds_matching(graph, ENTRY_POINTS, in_scope);
     seeds.extend(seeds_matching(graph, WORKER_ENTRY_POINTS, in_scope));
@@ -612,11 +612,18 @@ fn channel_ctor_call(toks: &[Token], i: usize) -> bool {
 pub const DURABLE_CRATE: &str = "dir";
 
 /// Event-handler entry points that acknowledge work by returning
-/// (rule 5): the simulator / NSO callback surface. `on_restart` is
-/// deliberately absent — a restart acknowledges nothing; it only
-/// discards staged bytes.
-pub const DURABLE_HANDLERS: &[&str] =
-    &["on_event", "on_packet", "on_timer", "on_start", "on_output"];
+/// (rule 5): the simulator / NSO callback surface, including `on_call`,
+/// the durable node's entry for calls scheduled with
+/// `Sim::schedule_call`. `on_restart` is deliberately absent — a
+/// restart acknowledges nothing; it only discards staged bytes.
+pub const DURABLE_HANDLERS: &[&str] = &[
+    "on_event",
+    "on_packet",
+    "on_timer",
+    "on_start",
+    "on_output",
+    "on_call",
+];
 
 /// Durability (PR 9): no buffered log write may be acknowledged before
 /// its flush point. In the durable-log crate, an event handler whose
@@ -866,7 +873,7 @@ fn transitive_send_under_lock(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
 fn determinism_taint(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
     let seed_scope = |id: FnId| {
         let path = &graph.file(id).path;
-        crate_of(path).is_some_and(|c| TAINT_SEED_CRATES.contains(&c)) && !path.contains("testkit")
+        crate_of(path).is_some_and(|c| TAINT_SEED_CRATES.contains(&c))
     };
     let patterns: Vec<(Option<&str>, Option<&str>)> =
         HANDLER_NAMES.iter().map(|n| (None, Some(*n))).collect();
@@ -878,7 +885,6 @@ fn determinism_taint(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
         let path = &graph.file(id).path;
         !matches!(crate_of(path), Some("rt" | "bench" | "analyze"))
             && !TAINT_BLESSED_FILES.contains(&path.as_str())
-            && !path.contains("testkit")
     };
     let reachable = graph.reachable(&seeds, traverse);
     for &id in &reachable {
@@ -993,8 +999,7 @@ fn blocking_in_worker(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
         matches!(
             crate_of(path),
             Some("core" | "gcs" | "orb" | "invocation" | "flow" | "net" | "rt" | "dir")
-        ) && !path.contains("testkit")
-            && !TAINT_BLESSED_FILES.contains(&path.as_str())
+        ) && !TAINT_BLESSED_FILES.contains(&path.as_str())
     };
     let seeds = seeds_matching(graph, WORKER_ENTRY_POINTS, in_scope);
     let reachable = graph.reachable(&seeds, in_scope);
@@ -1429,6 +1434,24 @@ mod tests {
         // with the acknowledging handler named in the message.
         assert_eq!(f[0].func, "stage_one");
         assert!(f[0].message.contains("on_event"), "{f:?}");
+    }
+
+    #[test]
+    fn durability_covers_scheduled_calls() {
+        // A scripted call stages its creation record on the way in; the
+        // call entry must commit like any handler.
+        let unsynced = check(
+            "crates/dir/src/harness.rs",
+            "impl DurableGcsNode { fn on_call(&mut self, rec: LogRecord) { self.store.lock().unwrap().append(self.id, &rec); } }",
+        );
+        assert_eq!(unsynced.len(), 1, "{unsynced:?}");
+        assert!(unsynced[0].message.contains("on_call"), "{unsynced:?}");
+        assert!(check(
+            "crates/dir/src/harness.rs",
+            "impl DurableGcsNode { fn on_call(&mut self, rec: LogRecord) { self.store.lock().unwrap().append(self.id, &rec); self.commit(); } \
+             fn commit(&mut self) { self.store.lock().unwrap().sync(self.id); } }",
+        )
+        .is_empty());
     }
 
     #[test]

@@ -30,11 +30,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use newtop::nso::{BindOptions, NsoOutput};
+use newtop::simnode::GcsHarness;
 use newtop_bench::bench_seed;
 use newtop_flow::FlowConfig;
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
-use newtop_gcs::member::GcsOutput;
-use newtop_gcs::testkit::GcsHarness;
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
 use newtop_net::sim::SimConfig;
 use newtop_net::site::{NodeId, Site};
@@ -223,12 +222,11 @@ fn open_loop_sim(args: &Args, rate: u64) -> OpenSimPoint {
     let mut delivered = 0u64;
     let mut lat = Histogram::new();
     for &node in &roster {
-        let n = h.node(node);
-        let metrics = &n.gcs().observability().metrics;
+        let metrics = &h.node(node).gcs().observability().metrics;
         shed += metrics.counter("flow.shed");
         peak_depth = peak_depth.max(metrics.gauge("flow.queue_depth_peak").unwrap_or(0));
-        for (at, out) in &n.outputs {
-            if let GcsOutput::Delivered { payload, .. } = out {
+        for (at, out) in h.outputs(node) {
+            if let NsoOutput::PeerDeliver { payload, .. } = out {
                 delivered += 1;
                 if let Some(&sent) = scheduled.get(&String::from_utf8_lossy(payload).into_owned()) {
                     if *at >= sent {

@@ -6,9 +6,10 @@
 //! deterministic simulator into a standing correctness gate in the
 //! FoundationDB/TigerBeetle style: scripted scenarios run under seeded
 //! [`FaultPlan`](newtop_net::faults::FaultPlan)s, per-node delivery logs
-//! and view histories are extracted (from
-//! [`newtop_gcs::testkit::GcsNode`] outputs and the `newtop-net::trace`
-//! ring), and an [`InvariantChecker`] asserts five invariants:
+//! and view histories are extracted (from the outputs of each node's
+//! NSO, hosted on an [`NsoNode`](newtop::simnode::NsoNode) like any
+//! simulated application), and an [`InvariantChecker`] asserts five
+//! invariants:
 //!
 //! 1. **Virtual synchrony** — nodes that pass through the same view
 //!    transition deliver the same message set in it;
@@ -38,8 +39,8 @@ use std::fmt;
 
 use bytes::Bytes;
 
+use newtop::nso::NsoOutput;
 use newtop_gcs::group::{DeliveryOrder, GroupId};
-use newtop_gcs::member::GcsOutput;
 use newtop_gcs::view::View;
 use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
@@ -108,10 +109,11 @@ pub struct NodeLog {
 }
 
 impl NodeLog {
-    /// Builds a node log from a [`newtop_gcs::testkit::GcsNode`]'s
-    /// recorded `(time, output)` stream.
+    /// Builds a node log from the `(time, output)` stream a simulated
+    /// node's NSO produced (peer deliveries and view changes; other
+    /// outputs are ignored).
     #[must_use]
-    pub fn from_outputs(node: NodeId, alive: bool, outputs: &[(SimTime, GcsOutput)]) -> Self {
+    pub fn from_outputs(node: NodeId, alive: bool, outputs: &[(SimTime, NsoOutput)]) -> Self {
         let mut groups: Vec<GroupLog> = Vec::new();
         let mut index: BTreeMap<GroupId, usize> = BTreeMap::new();
         let mut push = |group: &GroupId, ev: LogEvent| {
@@ -126,7 +128,7 @@ impl NodeLog {
         };
         for (at, output) in outputs {
             match output {
-                GcsOutput::Delivered {
+                NsoOutput::PeerDeliver {
                     group,
                     sender,
                     order,
@@ -142,14 +144,14 @@ impl NodeLog {
                         payload: payload.clone(),
                     },
                 ),
-                GcsOutput::ViewInstalled { group, view, .. } => push(
+                NsoOutput::ViewChanged { group, view } => push(
                     group,
                     LogEvent::View {
                         at: *at,
                         view: view.clone(),
                     },
                 ),
-                GcsOutput::LeftGroup { .. } => {}
+                _ => {}
             }
         }
         NodeLog {

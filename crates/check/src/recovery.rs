@@ -156,7 +156,7 @@ impl RecoveryScenario {
         // its pre-crash outputs feed the byte-identity checks instead.
         let logs = roster
             .iter()
-            .map(|&id| NodeLog::from_outputs(id, h.sim.is_alive(id), &h.node(id).outputs))
+            .map(|&id| NodeLog::from_outputs(id, h.sim.is_alive(id), h.node(id).outputs()))
             .collect();
 
         let mut groups = Vec::new();
@@ -174,8 +174,11 @@ impl RecoveryScenario {
                     replayed: v.replayed.get(group).cloned().unwrap_or_default(),
                     delta: v.delta_records.get(group).cloned().unwrap_or_default(),
                     delta_bytes: v.delta_bytes.get(group).copied().unwrap_or(0),
-                    post_recovery: DurableGcsNode::delivered_recs(&v.outputs, group),
-                    survivor_full: DurableGcsNode::delivered_recs(&h.node(survivor).outputs, group),
+                    post_recovery: DurableGcsNode::delivered_recs(v.outputs(), group),
+                    survivor_full: DurableGcsNode::delivered_recs(
+                        h.node(survivor).outputs(),
+                        group,
+                    ),
                     rejoined_at: v.rejoined_at.get(group).copied(),
                 });
             }

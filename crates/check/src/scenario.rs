@@ -19,8 +19,8 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use newtop::simnode::GcsHarness;
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
-use newtop_gcs::testkit::GcsHarness;
 use newtop_net::faults::FaultPlan;
 use newtop_net::sim::SimConfig;
 use newtop_net::site::Site;
@@ -212,7 +212,7 @@ impl GcsScenario {
 
         let logs = roster
             .iter()
-            .map(|&id| NodeLog::from_outputs(id, h.sim.is_alive(id), &h.node(id).outputs))
+            .map(|&id| NodeLog::from_outputs(id, h.sim.is_alive(id), h.outputs(id)))
             .collect();
         // The checker reads per-sender send order from this vec's order;
         // the saturation salvo was appended out of chronological order,

@@ -182,6 +182,10 @@ pub enum NsoOutput {
         group: GroupId,
         /// The multicasting member.
         sender: NodeId,
+        /// The guarantee it was sent with.
+        order: DeliveryOrder,
+        /// Its Lamport timestamp: strictly increasing per sender.
+        lamport: u64,
         /// Application payload.
         payload: Bytes,
     },
@@ -786,7 +790,6 @@ fn with_net<R>(
         obs.metrics.add("gcs.batch_frames", frames);
         obs.metrics.add("gcs.batch_msgs", net.batch_msgs());
     }
-    drop(net);
     if buf.has_staged() && !buf.scheduled {
         buf.scheduled = true;
         out.set_timer(BATCH_FLUSH_DELAY, BATCH_FLUSH_TAG);
@@ -901,6 +904,21 @@ impl Nso {
     #[must_use]
     pub fn server_core(&self, group: &GroupId) -> Option<&ServerCore> {
         self.servers.get(group)
+    }
+
+    /// The group-communication member, for tests and simulator
+    /// harnesses that read its flow ledgers and metrics.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn gcs(&self) -> &GcsMember {
+        &self.gcs
+    }
+
+    /// Mutable [`Self::gcs`], for the durable-recovery harness (clock
+    /// restore, replay admission).
+    #[doc(hidden)]
+    pub fn gcs_mut(&mut self) -> &mut GcsMember {
+        &mut self.gcs
     }
 
     /// Drains the outputs produced since the last call. Runtimes loop on
@@ -2061,9 +2079,10 @@ impl Nso {
                 GcsOutput::Delivered {
                     group,
                     sender,
+                    order,
+                    lamport,
                     payload,
-                    ..
-                } => self.route_delivery(&group, sender, payload, now, out),
+                } => self.route_delivery(&group, sender, order, lamport, payload, now, out),
                 GcsOutput::ViewInstalled {
                     group,
                     view,
@@ -2085,10 +2104,13 @@ impl Nso {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn route_delivery(
         &mut self,
         group: &GroupId,
         sender: NodeId,
+        order: DeliveryOrder,
+        lamport: u64,
         payload: Bytes,
         now: SimTime,
         out: &mut Outbox,
@@ -2125,6 +2147,8 @@ impl Nso {
                 self.outputs.push(NsoOutput::PeerDeliver {
                     group: group.clone(),
                     sender,
+                    order,
+                    lamport,
                     payload,
                 });
             }

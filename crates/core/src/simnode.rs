@@ -6,11 +6,19 @@
 //! back into the NSO (reactions cascade until no outputs remain).
 //! Timer tags at or above [`crate::tags::APP_BASE`] belong to the
 //! application.
+//!
+//! [`GcsHarness`] scripts peer-group operations on a set of `NsoNode`s at
+//! chosen virtual times and records what each node's NSO reports: the
+//! host of the GCS protocol tests and of the invariant campaign.
 
 use std::any::Any;
 
-use newtop_net::sim::{NodeEvent, Outbox, SimNode};
-use newtop_net::site::NodeId;
+use bytes::Bytes;
+
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
+use newtop_gcs::view::View;
+use newtop_net::sim::{NodeEvent, Outbox, Sim, SimConfig, SimNode};
+use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 
 use crate::nso::{Nso, NsoOptions, NsoOutput};
@@ -60,6 +68,11 @@ impl NsoNode {
         &self.nso
     }
 
+    /// Mutable [`Self::nso`].
+    pub fn nso_mut(&mut self) -> &mut Nso {
+        &mut self.nso
+    }
+
     /// Borrows the application, downcast to its concrete type.
     #[must_use]
     pub fn app_ref<T: NsoApp>(&self) -> Option<&T> {
@@ -106,15 +119,227 @@ impl SimNode for NsoNode {
     }
 }
 
+/// An application that only records every NSO output, stamped with the
+/// virtual time it surfaced at.
+#[derive(Debug, Default)]
+pub struct OutputLog {
+    /// The outputs, in the order the node produced them.
+    pub outputs: Vec<(SimTime, NsoOutput)>,
+}
+
+impl OutputLog {
+    /// Runs `op` on the NSO of `host`, a node whose application is an
+    /// `OutputLog`, as one event of that node (a call scheduled with
+    /// [`Sim::schedule_call`]), and records what the NSO reported in the
+    /// same event, as the node's own handlers do: a later record would
+    /// misstamp what the call surfaced, such as a created group's first
+    /// view. The log never calls back into the NSO, so one pass collects
+    /// everything.
+    pub fn record_call(
+        host: &mut NsoNode,
+        now: SimTime,
+        out: &mut Outbox,
+        op: impl FnOnce(&mut Nso, SimTime, &mut Outbox),
+    ) {
+        op(&mut host.nso, now, out);
+        let produced = host.nso.take_outputs();
+        if let Some(log) = host.app_mut::<OutputLog>() {
+            log.outputs.extend(produced.into_iter().map(|o| (now, o)));
+        }
+    }
+}
+
+impl NsoApp for OutputLog {
+    fn on_output(&mut self, _nso: &mut Nso, output: NsoOutput, now: SimTime, _out: &mut Outbox) {
+        self.outputs.push((now, output));
+    }
+}
+
+/// A scripted multi-node peer-group scenario on the simulator.
+///
+/// Every node is an [`NsoNode`] whose application is an [`OutputLog`].
+/// Group operations are scheduled as calls into the node's [`Nso`]
+/// through its peer-group API, so scripted runs exercise the stack
+/// applications use.
+pub struct GcsHarness {
+    /// The underlying simulator (exposed for fault injection and custom
+    /// scheduling).
+    pub sim: Sim,
+    nodes: Vec<NodeId>,
+}
+
+impl GcsHarness {
+    /// Creates a harness over a fresh simulator.
+    #[must_use]
+    pub fn new(cfg: SimConfig) -> Self {
+        GcsHarness {
+            sim: Sim::new(cfg),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// The simulator seed, for reproduction messages: a failing run is
+    /// re-created byte-for-byte by re-running with the same seed.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.sim.seed()
+    }
+
+    /// Adds `count` nodes at `site`, returning their ids.
+    pub fn add_nodes(&mut self, site: Site, count: usize) -> Vec<NodeId> {
+        let mut ids = Vec::with_capacity(count);
+        for _ in 0..count {
+            // Two-phase: the node needs its own id.
+            let id = NodeId::from_index(self.nodes.len() as u32);
+            let node = NsoNode::new(id, Box::new(OutputLog::default()));
+            let actual = self.sim.add_node(site, Box::new(node));
+            assert_eq!(actual, id, "node id allocation must be dense");
+            self.nodes.push(id);
+            ids.push(id);
+        }
+        ids
+    }
+
+    /// Schedules `op` to run on `node`'s NSO at `at` (see
+    /// [`Sim::schedule_call`]); a dead node drops it.
+    fn call<F>(&mut self, at: SimTime, node: NodeId, op: F)
+    where
+        F: FnOnce(&mut Nso, SimTime, &mut Outbox) + Send + 'static,
+    {
+        self.sim.schedule_call(at, node, move |host, now, out| {
+            if let Some(host) = host.downcast_mut::<NsoNode>() {
+                OutputLog::record_call(host, now, out, op);
+            }
+        });
+    }
+
+    /// Schedules group creation on every listed member at `at`.
+    pub fn create_group(
+        &mut self,
+        at: SimTime,
+        group: &GroupId,
+        config: &GroupConfig,
+        members: &[NodeId],
+    ) {
+        for &m in members {
+            let (group, config, members) = (group.clone(), config.clone(), members.to_vec());
+            self.call(at, m, move |nso, now, out| {
+                let _ = nso.create_peer_group(group, members, config, now, out);
+            });
+        }
+    }
+
+    /// Schedules a multicast from `node` at `at`.
+    pub fn multicast(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        group: &GroupId,
+        order: DeliveryOrder,
+        payload: impl Into<Bytes>,
+    ) {
+        let (group, payload) = (group.clone(), payload.into());
+        self.call(at, node, move |nso, now, out| {
+            if let Some(handle) = nso.handle_for(&group) {
+                let _ = handle.send(nso, payload, order, now, out);
+            }
+        });
+    }
+
+    /// Schedules a join of `group` through `contact` at `at`.
+    pub fn join(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        group: &GroupId,
+        config: &GroupConfig,
+        contact: NodeId,
+    ) {
+        let (group, config) = (group.clone(), config.clone());
+        self.call(at, node, move |nso, now, out| {
+            let _ = nso.join_peer_group(group, config, contact, now, out);
+        });
+    }
+
+    /// Schedules a graceful leave at `at`.
+    pub fn leave(&mut self, at: SimTime, node: NodeId, group: &GroupId) {
+        let group = group.clone();
+        self.call(at, node, move |nso, now, out| {
+            let _ = nso.leave_peer_group(&group, now, out);
+        });
+    }
+
+    /// Runs the simulation until `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.sim.run_until(deadline);
+    }
+
+    fn host(&self, node: NodeId) -> &NsoNode {
+        self.sim
+            .node_ref::<NsoNode>(node)
+            .expect("node was added through this harness")
+    }
+
+    /// The NSO hosted on `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` was not added through this harness.
+    #[must_use]
+    pub fn node(&self, node: NodeId) -> &Nso {
+        self.host(node).nso()
+    }
+
+    /// Every output `node`'s NSO produced, stamped with virtual time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` was not added through this harness.
+    #[must_use]
+    pub fn outputs(&self, node: NodeId) -> &[(SimTime, NsoOutput)] {
+        &self
+            .host(node)
+            .app_ref::<OutputLog>()
+            .expect("harness nodes run an OutputLog")
+            .outputs
+    }
+
+    /// Delivered `(sender, payload)` pairs at `node` for `group`, in
+    /// delivery order.
+    #[must_use]
+    pub fn delivered(&self, node: NodeId, group: &GroupId) -> Vec<(NodeId, Bytes)> {
+        self.outputs(node)
+            .iter()
+            .filter_map(|(_, o)| match o {
+                NsoOutput::PeerDeliver {
+                    group: g,
+                    sender,
+                    payload,
+                    ..
+                } if g == group => Some((*sender, payload.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Views installed at `node` for `group`, in installation order.
+    #[must_use]
+    pub fn views(&self, node: NodeId, group: &GroupId) -> Vec<View> {
+        self.outputs(node)
+            .iter()
+            .filter_map(|(_, o)| match o {
+                NsoOutput::ViewChanged { group: g, view } if g == group => Some(view.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nso::BindOptions;
-    use bytes::Bytes;
-    use newtop_gcs::group::{GroupConfig, GroupId};
     use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
-    use newtop_net::sim::{Sim, SimConfig};
-    use newtop_net::site::Site;
 
     struct Server {
         members: Vec<NodeId>,

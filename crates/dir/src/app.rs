@@ -188,6 +188,8 @@ mod tests {
             NsoOutput::PeerDeliver {
                 group: GroupId::new(DIR_GROUP),
                 sender: NodeId::from_index(0),
+                order: DeliveryOrder::Total,
+                lamport: 1,
                 payload: record.to_cdr(),
             },
             SimTime::ZERO,

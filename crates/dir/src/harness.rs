@@ -1,10 +1,13 @@
 //! Simulator harness for durable GCS nodes: crash, cold-restart,
 //! replay, rejoin.
 //!
-//! [`DurableGcsNode`] hosts the same GCS member + ORB stack as the
-//! `newtop-gcs` testkit node, but writes every group event through a
+//! [`DurableGcsNode`] wraps the simulator's one NSO host, an [`NsoNode`],
+//! and writes every group event its NSO reports through a
 //! [`SharedStore`] (the node's stable storage, held *outside* the
-//! volatile node state so it survives [`SimNode::on_restart`]). After a
+//! volatile node state so it survives [`SimNode::on_restart`]). Scripted
+//! group operations reach it as calls scheduled with
+//! [`Sim::schedule_call`]; it intercepts only its own recovery packets
+//! and hands every other event to the NSO. After a
 //! crash-and-restart the node replays snapshot + log, rejoins each
 //! group it was a member of through the last durably known view, and
 //! fetches the deliveries it missed as *chunked delta state transfer*
@@ -20,16 +23,14 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use newtop::nso::{Nso, NsoOutput};
+use newtop::simnode::{NsoNode, OutputLog};
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
-use newtop_gcs::member::{GcsMember, GcsNet, GcsOutput};
-use newtop_gcs::testkit::{decode_command, encode_command, Command};
 use newtop_gcs::view::View;
-use newtop_gcs::GCS_OPERATION;
-use newtop_net::sim::{NodeEvent, Outbox, Packet, Sim, SimConfig, SimNode};
+use newtop_net::sim::{NodeEvent, Outbox, Sim, SimConfig, SimNode};
 use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, CdrError};
-use newtop_orb::orb::{OrbCore, OrbIncoming};
 
 use crate::log::{DeliveredRec, LogRecord};
 use crate::store::{shared_store, SharedStore};
@@ -142,18 +143,16 @@ pub fn decode_recovery(payload: &[u8]) -> Option<Result<RecoveryMsg, CdrError>> 
     Some(RecoveryMsg::decode(&mut dec))
 }
 
-/// A simulated node hosting a durably logged GCS stack.
+/// A simulated node hosting a durably logged NSO stack.
 pub struct DurableGcsNode {
     id: NodeId,
     store: SharedStore,
-    gcs: GcsMember,
-    orb: OrbCore,
-    /// Every output produced since the last cold start, stamped with
-    /// virtual time. A restart moves the accumulated outputs to
-    /// [`Self::pre_crash_outputs`].
-    pub outputs: Vec<(SimTime, GcsOutput)>,
+    /// The NSO this node runs. Its [`OutputLog`] holds every output
+    /// produced since the last cold start; a restart swaps in a fresh
+    /// host and moves the log to [`Self::pre_crash_outputs`].
+    host: NsoNode,
     /// Outputs produced before the most recent crash.
-    pub pre_crash_outputs: Vec<(SimTime, GcsOutput)>,
+    pub pre_crash_outputs: Vec<(SimTime, NsoOutput)>,
     /// Per-group delivery history reconstructed from durable state at
     /// the last recovery.
     pub replayed: BTreeMap<GroupId, Vec<DeliveredRec>>,
@@ -180,6 +179,10 @@ pub struct DurableGcsNode {
     pending_xfers: Vec<(NodeId, GroupId, u64)>,
 }
 
+fn fresh_host(id: NodeId) -> NsoNode {
+    NsoNode::new(id, Box::new(OutputLog::default()))
+}
+
 impl DurableGcsNode {
     /// Creates the node state for `id` over `store`.
     #[must_use]
@@ -187,9 +190,7 @@ impl DurableGcsNode {
         DurableGcsNode {
             id,
             store,
-            gcs: GcsMember::new(id, 1 << 40),
-            orb: OrbCore::new(id),
-            outputs: Vec::new(),
+            host: fresh_host(id),
             pre_crash_outputs: Vec::new(),
             replayed: BTreeMap::new(),
             delta_records: BTreeMap::new(),
@@ -205,41 +206,38 @@ impl DurableGcsNode {
         }
     }
 
+    /// The NSO this incarnation runs.
+    #[must_use]
+    pub fn nso(&self) -> &Nso {
+        self.host.nso()
+    }
+
+    /// Every output produced since the last cold start, stamped with
+    /// virtual time.
+    #[must_use]
+    pub fn outputs(&self) -> &[(SimTime, NsoOutput)] {
+        self.host
+            .app_ref::<OutputLog>()
+            .map_or(&[], |log| &log.outputs)
+    }
+
     /// Delivered `(sender, payload)` pairs for one group since the last
     /// cold start, in delivery order.
     #[must_use]
     pub fn delivered(&self, group: &GroupId) -> Vec<(NodeId, Bytes)> {
-        Self::delivered_of(&self.outputs, group)
-    }
-
-    /// Like [`Self::delivered`] but over the pre-crash outputs.
-    #[must_use]
-    pub fn delivered_before_crash(&self, group: &GroupId) -> Vec<(NodeId, Bytes)> {
-        Self::delivered_of(&self.pre_crash_outputs, group)
-    }
-
-    fn delivered_of(outputs: &[(SimTime, GcsOutput)], group: &GroupId) -> Vec<(NodeId, Bytes)> {
-        outputs
-            .iter()
-            .filter_map(|(_, o)| match o {
-                GcsOutput::Delivered {
-                    group: g,
-                    sender,
-                    payload,
-                    ..
-                } if g == group => Some((*sender, payload.clone())),
-                _ => None,
-            })
+        Self::delivered_recs(self.outputs(), group)
+            .into_iter()
+            .map(|r| (r.sender, r.payload))
             .collect()
     }
 
     /// Full delivery records for one group from an output slice.
     #[must_use]
-    pub fn delivered_recs(outputs: &[(SimTime, GcsOutput)], group: &GroupId) -> Vec<DeliveredRec> {
+    pub fn delivered_recs(outputs: &[(SimTime, NsoOutput)], group: &GroupId) -> Vec<DeliveredRec> {
         outputs
             .iter()
             .filter_map(|(_, o)| match o {
-                GcsOutput::Delivered {
+                NsoOutput::PeerDeliver {
                     group: g,
                     sender,
                     order,
@@ -256,30 +254,31 @@ impl DurableGcsNode {
             .collect()
     }
 
-    /// Views installed for one group since the last cold start.
-    #[must_use]
-    pub fn views(&self, group: &GroupId) -> Vec<View> {
-        self.outputs
-            .iter()
-            .filter_map(|(_, o)| match o {
-                GcsOutput::ViewInstalled { group: g, view, .. } if g == group => Some(view.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// This node's full known delivery history for `group`: the prefix
-    /// replayed from durable state at the last recovery (empty if this
-    /// node never recovered) plus everything delivered since.
-    fn known_history(&self, group: &GroupId) -> Vec<DeliveredRec> {
+    /// This node's known delivery history for `group` as of its first
+    /// `upto` outputs: the prefix replayed from durable state at the
+    /// last recovery (empty if this node never recovered) plus what it
+    /// delivered since.
+    fn known_history(&self, group: &GroupId, upto: usize) -> Vec<DeliveredRec> {
         let mut history = self.replayed.get(group).cloned().unwrap_or_default();
-        history.extend(Self::delivered_recs(&self.outputs, group));
+        let outputs = self.outputs();
+        history.extend(Self::delivered_recs(
+            &outputs[..upto.min(outputs.len())],
+            group,
+        ));
         history
     }
 
-    /// Ships `group`'s history beyond `floor` to `to` in chunks.
-    fn serve_xfer(&mut self, to: NodeId, group: &GroupId, floor: u64, out: &mut Outbox) {
-        let history = self.known_history(group);
+    /// Ships `group`'s history beyond `floor`, as of the first `upto`
+    /// outputs, to `to` in chunks.
+    fn serve_xfer(
+        &mut self,
+        to: NodeId,
+        group: &GroupId,
+        floor: u64,
+        upto: usize,
+        out: &mut Outbox,
+    ) {
+        let history = self.known_history(group, upto);
         let from_idx = (floor as usize).min(history.len());
         let delta = &history[from_idx..];
         let chunks: Vec<&[DeliveredRec]> = if delta.is_empty() {
@@ -292,7 +291,7 @@ impl DurableGcsNode {
             // Replay admission: state transfer re-ships acknowledged
             // history, so it passes the flow controller outside the
             // live send window (counted, never shed).
-            if let Some(flow) = self.gcs.flow_of_mut(group) {
+            if let Some(flow) = self.host.nso_mut().gcs_mut().flow_of_mut(group) {
                 let _ = flow.admit_replay();
             }
             let msg = RecoveryMsg::XferChunk {
@@ -305,71 +304,64 @@ impl DurableGcsNode {
         }
     }
 
-    /// Stages durable records for freshly produced outputs and collects
-    /// them; the commit point is [`Self::commit`] at the end of the
+    /// Stages durable records for the outputs recorded from index `from`
+    /// on; the commit point is [`Self::commit`] at the end of the
     /// handling event.
-    fn log_outputs(&mut self, now: SimTime, produced: Vec<GcsOutput>, out: &mut Outbox) {
-        for output in produced {
-            match &output {
-                GcsOutput::Delivered {
+    fn log_outputs(&mut self, now: SimTime, from: usize, out: &mut Outbox) {
+        for i in from..self.outputs().len() {
+            let record = match &self.outputs()[i].1 {
+                NsoOutput::PeerDeliver {
                     group,
                     sender,
                     order,
                     lamport,
                     payload,
-                } => {
-                    self.store.lock().unwrap().append(
-                        self.id,
-                        &LogRecord::Delivered {
-                            group: group.clone(),
-                            rec: DeliveredRec {
-                                sender: *sender,
-                                order: *order,
-                                lamport: *lamport,
-                                payload: payload.clone(),
-                            },
-                        },
-                    );
-                    self.delivered_since_snapshot += 1;
-                }
-                GcsOutput::ViewInstalled { group, view, .. } => {
-                    self.store.lock().unwrap().append(
-                        self.id,
-                        &LogRecord::ViewInstalled {
-                            group: group.clone(),
-                            view: view.clone(),
-                        },
-                    );
+                } => LogRecord::Delivered {
+                    group: group.clone(),
+                    rec: DeliveredRec {
+                        sender: *sender,
+                        order: *order,
+                        lamport: *lamport,
+                        payload: payload.clone(),
+                    },
+                },
+                NsoOutput::ViewChanged { group, view } => LogRecord::ViewInstalled {
+                    group: group.clone(),
+                    view: view.clone(),
+                },
+                _ => continue,
+            };
+            self.store.lock().unwrap().append(self.id, &record);
+            match record {
+                LogRecord::Delivered { .. } => self.delivered_since_snapshot += 1,
+                LogRecord::ViewInstalled { group, view } => {
                     if self.recovered_at.is_some()
                         && view.contains(self.id)
-                        && !self.rejoined_at.contains_key(group)
+                        && !self.rejoined_at.contains_key(&group)
                     {
                         self.rejoined_at.insert(group.clone(), now);
                     }
-                    self.latest_views.insert(group.clone(), view.clone());
                     // A view install is the state-transfer point:
                     // virtual synchrony has flushed every pre-view
-                    // message, so a delta served here is exactly the
+                    // message, so a delta served here — history up to
+                    // and including this install — is exactly the
                     // requester's missed suffix.
-                    let (g, v) = (group.clone(), view.clone());
                     let mut due = Vec::new();
                     self.pending_xfers.retain(|(to, pg, floor)| {
-                        if *pg == g && v.contains(*to) {
+                        if *pg == group && view.contains(*to) {
                             due.push((*to, *floor));
                             false
                         } else {
                             true
                         }
                     });
-                    self.outputs.push((now, output));
+                    self.latest_views.insert(group.clone(), view);
                     for (to, floor) in due {
-                        self.serve_xfer(to, &g, floor, out);
+                        self.serve_xfer(to, &group, floor, i + 1, out);
                     }
-                    continue;
                 }
-                GcsOutput::LeftGroup { .. } => {}
+                _ => {}
             }
-            self.outputs.push((now, output));
         }
     }
 
@@ -386,56 +378,24 @@ impl DurableGcsNode {
         }
     }
 
-    fn handle_command(&mut self, cmd: Command, now: SimTime, out: &mut Outbox) {
-        let mut net = GcsNet::new(&mut self.orb, out);
-        let produced = match cmd {
-            Command::Create {
-                group,
-                config,
-                members,
-            } => {
-                self.store.lock().unwrap().append(
-                    self.id,
-                    &LogRecord::Created {
-                        group: group.clone(),
-                        config: config.clone(),
-                        members: members.clone(),
-                    },
-                );
-                self.gcs
-                    .create_group(group, config, members, now, &mut net)
-                    .unwrap_or_default()
-            }
-            Command::Join {
-                group,
-                config,
-                contact,
-            } => {
-                self.store.lock().unwrap().append(
-                    self.id,
-                    &LogRecord::Created {
-                        group: group.clone(),
-                        config: config.clone(),
-                        members: vec![contact],
-                    },
-                );
-                let _ = self.gcs.join_group(group, config, contact, now, &mut net);
-                Vec::new()
-            }
-            Command::Leave { group } => self
-                .gcs
-                .leave_group(&group, now, &mut net)
-                .unwrap_or_default(),
-            Command::Multicast {
-                group,
-                order,
-                payload,
-            } => {
-                let _ = self.gcs.multicast(&group, order, payload, now, &mut net);
-                Vec::new()
-            }
-        };
-        self.log_outputs(now, produced, out);
+    /// Runs a scripted operation on the hosted NSO as one event of this
+    /// node (see [`DurableHarness`]): stages `record` ahead of it — the
+    /// durable trace of a group creation — logs what the operation
+    /// produced, and commits before returning, like every handler.
+    pub fn on_call(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox,
+        record: Option<LogRecord>,
+        op: impl FnOnce(&mut Nso, SimTime, &mut Outbox),
+    ) {
+        if let Some(record) = record {
+            self.store.lock().unwrap().append(self.id, &record);
+        }
+        let from = self.outputs().len();
+        OutputLog::record_call(&mut self.host, now, out, op);
+        self.log_outputs(now, from, out);
+        self.commit();
     }
 
     fn handle_recovery_msg(&mut self, from: NodeId, msg: RecoveryMsg, out: &mut Outbox) {
@@ -450,7 +410,8 @@ impl DurableGcsNode {
                     .get(&group)
                     .is_some_and(|v| v.contains(from));
                 if rejoined {
-                    self.serve_xfer(from, &group, floor, out);
+                    let upto = self.outputs().len();
+                    self.serve_xfer(from, &group, floor, upto, out);
                 } else {
                     self.pending_xfers.push((from, group, floor));
                 }
@@ -460,7 +421,7 @@ impl DurableGcsNode {
                 // this node's pre-crash in-flight sends with; observing
                 // them keeps post-recovery stamps strictly increasing.
                 if let Some(max) = records.iter().map(|r| r.lamport).max() {
-                    self.gcs.observe_clock(max);
+                    self.host.nso_mut().gcs_mut().observe_clock(max);
                 }
                 let bytes: u64 = records.iter().map(|r| r.payload.len() as u64).sum();
                 *self.delta_bytes.entry(group.clone()).or_insert(0) += bytes;
@@ -491,7 +452,7 @@ impl DurableGcsNode {
             .flat_map(|g| g.history.iter().map(|r| r.lamport))
             .max()
             .unwrap_or(0);
-        self.gcs.observe_clock(max_lamport);
+        self.host.nso_mut().gcs_mut().observe_clock(max_lamport);
         for (group, g) in state.groups {
             let floor = g.history.len() as u64;
             self.replayed.insert(group.clone(), g.history);
@@ -519,52 +480,33 @@ impl DurableGcsNode {
                     members: vec![contact],
                 },
             );
-            let mut net = GcsNet::new(&mut self.orb, out);
-            let _ = self.gcs.join_group(group, g.config, contact, now, &mut net);
+            OutputLog::record_call(&mut self.host, now, out, |nso, now, out| {
+                let _ = nso.join_peer_group(group, g.config, contact, now, out);
+            });
         }
     }
 }
 
 impl SimNode for DurableGcsNode {
     fn on_event(&mut self, now: SimTime, ev: NodeEvent, out: &mut Outbox) {
-        match ev {
-            NodeEvent::Start => {
-                if self.recover_pending {
-                    self.recover_pending = false;
-                    self.run_recovery(now, out);
+        // Recovery traffic is this node's own; everything else is the
+        // NSO's.
+        if let NodeEvent::Packet(pkt) = &ev {
+            if let Some(decoded) = decode_recovery(&pkt.payload) {
+                if let Ok(msg) = decoded {
+                    self.handle_recovery_msg(pkt.src, msg, out);
                 }
-            }
-            NodeEvent::Packet(pkt) => {
-                if let Some(cmd) = decode_command(&pkt.payload) {
-                    self.handle_command(cmd, now, out);
-                } else if let Some(decoded) = decode_recovery(&pkt.payload) {
-                    if let Ok(msg) = decoded {
-                        self.handle_recovery_msg(pkt.src, msg, out);
-                    }
-                } else {
-                    let incoming = self.orb.handle_packet(&pkt, out);
-                    if let Some(OrbIncoming::Upcall {
-                        operation, body, ..
-                    }) = incoming
-                    {
-                        if operation == GCS_OPERATION {
-                            if let Ok(msg) = newtop_gcs::messages::GcsMessage::from_cdr(&body) {
-                                let mut net = GcsNet::new(&mut self.orb, out);
-                                let produced = self.gcs.on_message(msg, now, &mut net);
-                                self.log_outputs(now, produced, out);
-                            }
-                        }
-                    }
-                }
-            }
-            NodeEvent::Timer(_, tag) => {
-                if self.gcs.owns_tag(tag) {
-                    let mut net = GcsNet::new(&mut self.orb, out);
-                    let produced = self.gcs.on_timer(tag, now, &mut net);
-                    self.log_outputs(now, produced, out);
-                }
+                self.commit();
+                return;
             }
         }
+        let from = self.outputs().len();
+        let recover = matches!(ev, NodeEvent::Start) && std::mem::take(&mut self.recover_pending);
+        self.host.on_event(now, ev, out);
+        if recover {
+            self.run_recovery(now, out);
+        }
+        self.log_outputs(now, from, out);
         self.commit();
     }
 
@@ -573,17 +515,17 @@ impl SimNode for DurableGcsNode {
         // shared store) survives. Mid-event staged-but-unsynced bytes
         // are what a real crash loses.
         self.store.lock().unwrap().crash(self.id);
-        self.gcs = GcsMember::new(self.id, 1 << 40);
-        self.orb = OrbCore::new(self.id);
-        let crashed = std::mem::take(&mut self.outputs);
-        self.pre_crash_outputs.extend(crashed);
+        let mut crashed = std::mem::replace(&mut self.host, fresh_host(self.id));
+        if let Some(log) = crashed.app_mut::<OutputLog>() {
+            self.pre_crash_outputs.append(&mut log.outputs);
+        }
         self.latest_views.clear();
         self.pending_xfers.clear();
         self.recover_pending = true;
     }
 }
 
-/// A scripted multi-node durable GCS scenario on the simulator.
+/// A scripted multi-node durable scenario on the simulator.
 pub struct DurableHarness {
     /// The underlying simulator (exposed for fault injection and custom
     /// scheduling).
@@ -624,17 +566,18 @@ impl DurableHarness {
         ids
     }
 
-    /// Schedules a command on one node at virtual time `at`.
-    pub fn command(&mut self, at: SimTime, node: NodeId, cmd: &Command) {
-        let payload = encode_command(cmd);
-        self.sim.schedule_packet(
-            at,
-            Packet {
-                src: node,
-                dst: node,
-                payload,
-            },
-        );
+    /// Schedules `op` to run on `node`'s NSO at `at`, with `record`
+    /// staged ahead of it (see [`DurableGcsNode::on_call`]); a dead node
+    /// drops it.
+    fn call<F>(&mut self, at: SimTime, node: NodeId, record: Option<LogRecord>, op: F)
+    where
+        F: FnOnce(&mut Nso, SimTime, &mut Outbox) + Send + 'static,
+    {
+        self.sim.schedule_call(at, node, move |host, now, out| {
+            if let Some(host) = host.downcast_mut::<DurableGcsNode>() {
+                host.on_call(now, out, record, op);
+            }
+        });
     }
 
     /// Schedules static creation of a group on every listed member.
@@ -646,15 +589,15 @@ impl DurableHarness {
         members: &[NodeId],
     ) {
         for &m in members {
-            self.command(
-                at,
-                m,
-                &Command::Create {
-                    group: group.clone(),
-                    config: config.clone(),
-                    members: members.to_vec(),
-                },
-            );
+            let record = LogRecord::Created {
+                group: group.clone(),
+                config: config.clone(),
+                members: members.to_vec(),
+            };
+            let (group, config, members) = (group.clone(), config.clone(), members.to_vec());
+            self.call(at, m, Some(record), move |nso, now, out| {
+                let _ = nso.create_peer_group(group, members, config, now, out);
+            });
         }
     }
 
@@ -667,15 +610,12 @@ impl DurableHarness {
         order: DeliveryOrder,
         payload: impl Into<Bytes>,
     ) {
-        self.command(
-            at,
-            node,
-            &Command::Multicast {
-                group: group.clone(),
-                order,
-                payload: payload.into(),
-            },
-        );
+        let (group, payload) = (group.clone(), payload.into());
+        self.call(at, node, None, move |nso, now, out| {
+            if let Some(handle) = nso.handle_for(&group) {
+                let _ = handle.send(nso, payload, order, now, out);
+            }
+        });
     }
 
     /// Runs the simulator to `deadline`.
@@ -781,7 +721,7 @@ mod tests {
         );
         // Delta transfer shipped only the missed suffix.
         let survivor = h.node(ids[0]);
-        let full = DurableGcsNode::delivered_recs(&survivor.outputs, &ga);
+        let full = DurableGcsNode::delivered_recs(survivor.outputs(), &ga);
         let full_bytes: u64 = full.iter().map(|r| r.payload.len() as u64).sum();
         let delta_bytes = *victim.delta_bytes.get(&ga).unwrap_or(&0);
         assert!(
@@ -798,7 +738,7 @@ mod tests {
         assert!(!delta.is_empty(), "no records travelled as delta");
         let mut victim_total = pre.clone();
         victim_total.extend(delta);
-        victim_total.extend(DurableGcsNode::delivered_recs(&victim.outputs, &ga));
+        victim_total.extend(DurableGcsNode::delivered_recs(victim.outputs(), &ga));
         assert_eq!(
             victim_total, full,
             "victim's converged history differs from the survivor's"
@@ -807,7 +747,8 @@ mod tests {
         // chunks passed its flow controller outside the live window.
         assert!(
             survivor
-                .gcs
+                .nso()
+                .gcs()
                 .flow_of(&ga)
                 .is_some_and(|f| f.replayed_count() > 0),
             "state transfer bypassed the flow controller's replay path"

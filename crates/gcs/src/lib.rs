@@ -25,9 +25,12 @@
 //! * [`member`] — the per-node protocol state machine
 //!   ([`member::GcsMember`]): multicast, NACK/retransmission, null
 //!   messages, failure suspicion, view agreement (virtual synchrony) and
-//!   join/leave;
-//! * [`testkit`] — simulator harness used by this crate's tests and by
-//!   downstream integration tests.
+//!   join/leave.
+//!
+//! The member is hosted by the NewTop service object (`newtop::nso::Nso`),
+//! on the simulator as on the threaded runtime; the simulator harness
+//! that scripts group operations for the protocol tests and the
+//! invariant campaign is `newtop::simnode::GcsHarness`.
 //!
 //! The failure model is the paper's: crash-stop processes, asynchronous
 //! network, partitions possible (each partition may install its own
@@ -41,7 +44,6 @@ pub mod engine;
 pub mod group;
 pub mod member;
 pub mod messages;
-pub mod testkit;
 pub mod view;
 
 pub use clock::LamportClock;

@@ -168,23 +168,6 @@ impl SendBuffer {
     }
 }
 
-/// Where a [`GcsNet`] stages batchable sends: its own window-local
-/// buffer (unit tests, non-batching contexts) or the host's persistent
-/// one (cross-event coalescing).
-enum Staging<'a> {
-    Inline(SendBuffer),
-    Host(&'a mut SendBuffer),
-}
-
-impl Staging<'_> {
-    fn get(&mut self) -> &mut SendBuffer {
-        match self {
-            Staging::Inline(b) => b,
-            Staging::Host(b) => b,
-        }
-    }
-}
-
 /// The network context for one call: the node's ORB plus the outbox the
 /// runtime will apply.
 pub struct GcsNet<'a> {
@@ -199,40 +182,19 @@ pub struct GcsNet<'a> {
     /// asynchronous fan-outs are staged and packed per destination into
     /// [`GcsMessage::Batch`] frames by [`Self::flush`].
     batching: bool,
-    staging: Staging<'a>,
+    /// The host's staging buffer.
+    buf: &'a mut SendBuffer,
     batch_frames: u64,
     batch_msgs: u64,
 }
 
 impl<'a> GcsNet<'a> {
-    /// Creates a context with batching off: every send goes out as its
-    /// own frame immediately.
-    pub fn new(orb: &'a mut OrbCore, out: &'a mut Outbox) -> Self {
-        Self::with_batching(orb, out, false)
-    }
-
-    /// Creates a context with a window-local staging buffer, optionally
-    /// staging sends for a per-destination batch flush. A batching
-    /// context MUST have [`Self::flush`] called before it is dropped, or
-    /// the staged messages never leave the node.
-    pub fn with_batching(orb: &'a mut OrbCore, out: &'a mut Outbox, batching: bool) -> Self {
-        GcsNet {
-            orb,
-            out,
-            sent: 0,
-            encode_calls: 0,
-            bytes_encoded: 0,
-            batching,
-            staging: Staging::Inline(SendBuffer::new()),
-            batch_frames: 0,
-            batch_msgs: 0,
-        }
-    }
-
     /// Creates a context staging into the host's persistent `buf`, so
     /// messages from several handler events coalesce until the host's
-    /// flush timer fires. The host is responsible for eventually calling
-    /// [`Self::flush`] on a context over the same buffer.
+    /// flush timer fires. With `batching` off every send goes out as its
+    /// own frame immediately and `buf` stays empty. The host is
+    /// responsible for eventually calling [`Self::flush`] on a context
+    /// over the same buffer.
     pub fn with_buffer(
         orb: &'a mut OrbCore,
         out: &'a mut Outbox,
@@ -246,7 +208,7 @@ impl<'a> GcsNet<'a> {
             encode_calls: 0,
             bytes_encoded: 0,
             batching,
-            staging: Staging::Host(buf),
+            buf,
             batch_frames: 0,
             batch_msgs: 0,
         }
@@ -304,7 +266,7 @@ impl<'a> GcsNet<'a> {
     /// Stages `msg` for `to`, sharing one staged copy when the same
     /// message fans out to several destinations in this flush window.
     fn stage(&mut self, to: NodeId, msg: &GcsMessage) {
-        let buf = self.staging.get();
+        let buf = &mut *self.buf;
         let idx = match buf.staged.last() {
             Some(last) if last == msg => buf.staged.len() - 1,
             _ => {
@@ -323,7 +285,7 @@ impl<'a> GcsNet<'a> {
     /// unbatched send; multiple messages are wrapped in one
     /// [`GcsMessage::Batch`] envelope.
     pub fn flush(&mut self) {
-        let buf = self.staging.get();
+        let buf = &mut *self.buf;
         if buf.staged_for.is_empty() {
             buf.staged.clear();
             return;
@@ -2174,15 +2136,15 @@ mod tests {
         NodeId::from_index(i)
     }
 
-    fn net_parts(node: NodeId) -> (OrbCore, Outbox) {
-        (OrbCore::new(node), Outbox::detached(0))
+    fn net_parts(node: NodeId) -> (OrbCore, Outbox, SendBuffer) {
+        (OrbCore::new(node), Outbox::detached(0), SendBuffer::new())
     }
 
     #[test]
     fn create_group_validates_membership() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out) = net_parts(n(0));
-        let mut net = GcsNet::new(&mut orb, &mut out);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
         assert_eq!(
             m.create_group(
                 GroupId::new("g"),
@@ -2228,8 +2190,8 @@ mod tests {
     #[test]
     fn multicast_requires_membership() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out) = net_parts(n(0));
-        let mut net = GcsNet::new(&mut orb, &mut out);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
         assert!(matches!(
             m.multicast(
                 &GroupId::new("nope"),
@@ -2245,8 +2207,8 @@ mod tests {
     #[test]
     fn multicast_sheds_when_the_send_window_is_exhausted() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out) = net_parts(n(0));
-        let mut net = GcsNet::new(&mut orb, &mut out);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
         let g = GroupId::new("g");
         m.create_group(
             g.clone(),
@@ -2314,10 +2276,9 @@ mod tests {
     #[test]
     fn multicast_fans_out_to_every_member_including_self() {
         let mut m = GcsMember::new(n(0), 0);
-        let mut orb = OrbCore::new(n(0));
-        let mut out = Outbox::detached(0);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
         {
-            let mut net = GcsNet::new(&mut orb, &mut out);
+            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::peer(),
@@ -2346,10 +2307,9 @@ mod tests {
     #[test]
     fn lively_groups_arm_timers_at_creation() {
         let mut m = GcsMember::new(n(0), 1000);
-        let mut orb = OrbCore::new(n(0));
-        let mut out = Outbox::detached(0);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
         {
-            let mut net = GcsNet::new(&mut orb, &mut out);
+            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::peer(),
@@ -2370,10 +2330,9 @@ mod tests {
     #[test]
     fn event_driven_groups_stay_quiet_until_traffic() {
         let mut m = GcsMember::new(n(0), 0);
-        let mut orb = OrbCore::new(n(0));
-        let mut out = Outbox::detached(0);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
         {
-            let mut net = GcsNet::new(&mut orb, &mut out);
+            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::request_reply(),
@@ -2393,10 +2352,9 @@ mod tests {
     #[test]
     fn leave_group_notifies_peers_and_cleans_up() {
         let mut m = GcsMember::new(n(0), 0);
-        let mut orb = OrbCore::new(n(0));
-        let mut out = Outbox::detached(0);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
         {
-            let mut net = GcsNet::new(&mut orb, &mut out);
+            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::default(),
@@ -2415,7 +2373,7 @@ mod tests {
             .leave_group(
                 &GroupId::new("g"),
                 SimTime::ZERO,
-                &mut GcsNet::new(&mut orb, &mut out)
+                &mut GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf)
             )
             .is_err());
     }
@@ -2441,17 +2399,15 @@ mod tests {
         // byte-identical to what an unbatched context sends.
         let msg = data_msg(1);
 
-        let (mut orb_a, mut out_a) = net_parts(n(0));
-        let mut plain = GcsNet::new(&mut orb_a, &mut out_a);
+        let (mut orb_a, mut out_a, mut buf_a) = net_parts(n(0));
+        let mut plain = GcsNet::with_buffer(&mut orb_a, &mut out_a, false, &mut buf_a);
         plain.send(n(1), &msg);
-        drop(plain);
 
-        let (mut orb_b, mut out_b) = net_parts(n(0));
-        let mut batched = GcsNet::with_batching(&mut orb_b, &mut out_b, true);
+        let (mut orb_b, mut out_b, mut buf_b) = net_parts(n(0));
+        let mut batched = GcsNet::with_buffer(&mut orb_b, &mut out_b, true, &mut buf_b);
         batched.send(n(1), &msg);
         batched.flush();
         assert_eq!(batched.batch_frames(), 0, "one message must not wrap");
-        drop(batched);
 
         let (sa, sb) = (out_a.into_parts().sends, out_b.into_parts().sends);
         assert_eq!(sa.len(), 1);
@@ -2468,15 +2424,14 @@ mod tests {
         // individual encodings are byte-identical to the originals'.
         let msgs = [data_msg(1), data_msg(2), data_msg(3)];
 
-        let (mut orb, mut out) = net_parts(n(0));
-        let mut net = GcsNet::with_batching(&mut orb, &mut out, true);
+        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let mut net = GcsNet::with_buffer(&mut orb, &mut out, true, &mut buf);
         for m in &msgs {
             net.send(n(1), m);
         }
         net.flush();
         assert_eq!(net.batch_frames(), 1);
         assert_eq!(net.batch_msgs(), 3);
-        drop(net);
 
         let sends = out.into_parts().sends;
         assert_eq!(sends.len(), 1, "three staged sends must share one frame");

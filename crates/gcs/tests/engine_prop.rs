@@ -143,6 +143,64 @@ fn assert_fifo(delivered: &[(u32, u64)], senders: u32) {
     }
 }
 
+/// `(sender index, seq)` per delivery, in delivery order.
+type Deliveries = Vec<(u32, u64)>;
+
+/// Feeds one all-total-order history to two observers, each in its own
+/// seeded arrival order, and returns both delivery sequences plus the
+/// number of messages sent.
+fn agreement_runs(seed_a: u64, seed_b: u64, symmetric: bool) -> (Deliveries, Deliveries, usize) {
+    let senders = 3;
+    let msgs = history(senders, 5, 0); // all total-order
+    let shuffle = |seed: u64| {
+        let mut arrival: Vec<usize> = (0..msgs.len()).collect();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for i in (1..arrival.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let j = (state >> 33) as usize % (i + 1);
+            arrival.swap(i, j);
+        }
+        arrival
+    };
+    let protocol = if symmetric {
+        OrderProtocol::Symmetric
+    } else {
+        OrderProtocol::Asymmetric
+    };
+    // One authoritative sequencer log (asymmetric); members see the
+    // data in different orders.
+    let log = (!symmetric).then(|| sequencer_log(senders + 2, &msgs, &shuffle(seed_a ^ 0xABCD)));
+    let a = run_engine(
+        3,
+        senders + 2,
+        protocol,
+        &msgs,
+        &shuffle(seed_a),
+        log.as_deref(),
+    );
+    let b = run_engine(
+        4,
+        senders + 2,
+        protocol,
+        &msgs,
+        &shuffle(seed_b),
+        log.as_deref(),
+    );
+    (a, b, msgs.len())
+}
+
+/// The failure `engine_prop.proptest-regressions` records for
+/// `prop_total_order_agreement_across_arrival_orders`, pinned as a plain
+/// test: the vendored proptest never replays that file.
+#[test]
+fn total_order_agreement_regression_seeds_0_and_1_asymmetric() {
+    let (a, b, sent) = agreement_runs(0, 1, false);
+    assert_eq!(a.len(), sent);
+    assert_eq!(a, b, "total order must not depend on arrival order");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -181,25 +239,8 @@ proptest! {
         seed_b in 0u64..10_000,
         symmetric in any::<bool>(),
     ) {
-        let senders = 3;
-        let msgs = history(senders, 5, 0); // all total-order
-        let shuffle = |seed: u64| {
-            let mut arrival: Vec<usize> = (0..msgs.len()).collect();
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            for i in (1..arrival.len()).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % (i + 1);
-                arrival.swap(i, j);
-            }
-            arrival
-        };
-        let protocol = if symmetric { OrderProtocol::Symmetric } else { OrderProtocol::Asymmetric };
-        // One authoritative sequencer log (asymmetric); members see the
-        // data in different orders.
-        let log = (!symmetric).then(|| sequencer_log(senders + 2, &msgs, &shuffle(seed_a ^ 0xABCD)));
-        let a = run_engine(3, senders + 2, protocol, &msgs, &shuffle(seed_a), log.as_deref());
-        let b = run_engine(4, senders + 2, protocol, &msgs, &shuffle(seed_b), log.as_deref());
-        prop_assert_eq!(a.len(), msgs.len());
+        let (a, b, sent) = agreement_runs(seed_a, seed_b, symmetric);
+        prop_assert_eq!(a.len(), sent);
         prop_assert_eq!(a, b, "total order must not depend on arrival order");
     }
 

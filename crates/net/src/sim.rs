@@ -308,12 +308,21 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug)]
+/// A scripted operation scheduled with [`Sim::schedule_call`].
+type CallFn = Box<dyn FnOnce(&mut dyn SimNode, SimTime, &mut Outbox) + Send>;
+
+/// What a node's CPU works through: a [`NodeEvent`] for its handler, or
+/// a scripted call run against the node itself.
+enum Work {
+    Event(NodeEvent),
+    Call(CallFn),
+}
+
 enum QueuedKind {
-    /// An event has arrived at the node and is waiting for CPU.
-    Arrive(NodeEvent),
-    /// The node's CPU finishes processing this event now; run the handler.
-    Handle(NodeEvent),
+    /// Work has arrived at the node and is waiting for CPU.
+    Arrive(Work),
+    /// The node's CPU finishes processing this work now; run it.
+    Handle(Work),
     Control(Control),
 }
 
@@ -474,7 +483,11 @@ impl Sim {
             started: false,
             incarnation: 0,
         });
-        self.push(self.now, Some(id), QueuedKind::Arrive(NodeEvent::Start));
+        self.push(
+            self.now,
+            Some(id),
+            QueuedKind::Arrive(Work::Event(NodeEvent::Start)),
+        );
         id
     }
 
@@ -617,13 +630,22 @@ impl Sim {
         );
     }
 
-    /// Injects an event directly into a node, as if it arrived over the
-    /// network at time `at` (which must not be in the past). This is how
-    /// test harnesses and workload drivers prod their actors.
-    pub fn schedule_packet(&mut self, at: SimTime, pkt: Packet) {
+    /// Schedules `f` to run on `node` at virtual time `at` (which must
+    /// not be in the past): the way test harnesses script an
+    /// application's calls into the node.
+    ///
+    /// The call waits for the node's CPU like any arrival and is billed
+    /// as a timer event ([`ServiceProfile::per_timer`] × the node's
+    /// service factor), since it stands in for an application acting on
+    /// its own timer. It reaches whichever incarnation of the node is
+    /// alive at `at`, and is dropped, unrun, if the node is dead. Actions
+    /// `f` queues into the outbox take effect as a handler's do.
+    pub fn schedule_call<F>(&mut self, at: SimTime, node: NodeId, f: F)
+    where
+        F: FnOnce(&mut dyn SimNode, SimTime, &mut Outbox) + Send + 'static,
+    {
         assert!(at >= self.now, "cannot schedule into the past");
-        let dst = pkt.dst;
-        self.push(at, Some(dst), QueuedKind::Arrive(NodeEvent::Packet(pkt)));
+        self.push(at, Some(node), QueuedKind::Arrive(Work::Call(Box::new(f))));
     }
 
     /// Runs until the queue is exhausted. Panics after `u64::MAX` events —
@@ -662,20 +684,20 @@ impl Sim {
         self.events_processed += 1;
         match ev.kind {
             QueuedKind::Control(c) => self.apply_control(c),
-            QueuedKind::Arrive(event) => {
+            QueuedKind::Arrive(work) => {
                 let Some(target) = ev.target else {
                     return true;
                 };
                 if self.incarnation_live(target, ev.incarnation) {
-                    self.on_arrival(target, event);
+                    self.on_arrival(target, work);
                 }
             }
-            QueuedKind::Handle(event) => {
+            QueuedKind::Handle(work) => {
                 let Some(target) = ev.target else {
                     return true;
                 };
                 if self.incarnation_live(target, ev.incarnation) {
-                    self.dispatch(target, event);
+                    self.dispatch(target, work);
                 }
             }
         }
@@ -709,7 +731,11 @@ impl Sim {
                         slot.busy_until = now;
                         slot.incarnation += 1;
                         slot.node.on_restart(now);
-                        self.push(now, Some(id), QueuedKind::Arrive(NodeEvent::Start));
+                        self.push(
+                            now,
+                            Some(id),
+                            QueuedKind::Arrive(Work::Event(NodeEvent::Start)),
+                        );
                     }
                 }
             }
@@ -742,58 +768,59 @@ impl Sim {
         }
     }
 
-    /// An event has arrived at `target`; queue it behind the node's CPU.
-    fn on_arrival(&mut self, target: NodeId, event: NodeEvent) {
+    /// Work has arrived at `target`; queue it behind the node's CPU.
+    fn on_arrival(&mut self, target: NodeId, work: Work) {
         let Some(slot) = self.nodes.get_mut(target.index() as usize) else {
             return;
         };
+        let is_packet = matches!(work, Work::Event(NodeEvent::Packet(_)));
         if !slot.alive {
-            if matches!(event, NodeEvent::Packet(_)) {
+            if is_packet {
                 self.stats.packets_dropped += 1;
             }
             return;
         }
         // Fired timers that were cancelled while queued are discarded here,
         // before they consume CPU.
-        if let NodeEvent::Timer(id, _) = &event {
+        if let Work::Event(NodeEvent::Timer(id, _)) = &work {
             if self.cancelled_timers.remove(id) {
                 return;
             }
         }
-        let cost = match &event {
-            NodeEvent::Packet(p) => {
+        let cost = match &work {
+            Work::Event(NodeEvent::Packet(p)) => {
                 slot.service.per_message
                     + mul_duration(slot.service.per_kib, p.payload.len() as f64 / 1024.0)
             }
-            NodeEvent::Timer(..) => slot.service.per_timer,
-            NodeEvent::Start => Duration::ZERO,
+            Work::Event(NodeEvent::Timer(..)) | Work::Call(_) => slot.service.per_timer,
+            Work::Event(NodeEvent::Start) => Duration::ZERO,
         };
         let cost = mul_duration(cost, slot.service_factor);
         let begin = self.now.max(slot.busy_until);
         let completion = begin + cost;
         slot.busy_until = completion;
-        if matches!(event, NodeEvent::Packet(_)) {
+        if is_packet {
             self.stats.packets_delivered += 1;
         }
         let incarnation = slot.incarnation;
         self.push_stamped(
             completion,
             Some(target),
-            QueuedKind::Handle(event),
+            QueuedKind::Handle(work),
             incarnation,
         );
     }
 
-    /// The node's CPU has finished with this event; run the handler and
-    /// apply its actions.
-    fn dispatch(&mut self, target: NodeId, event: NodeEvent) {
+    /// The node's CPU has finished with this work; run the handler (or
+    /// the scripted call) and apply its actions.
+    fn dispatch(&mut self, target: NodeId, work: Work) {
         let idx = target.index() as usize;
         {
             let slot = &mut self.nodes[idx];
             if !slot.alive {
                 return;
             }
-            if let NodeEvent::Start = event {
+            if let Work::Event(NodeEvent::Start) = work {
                 if slot.started {
                     return;
                 }
@@ -803,7 +830,10 @@ impl Sim {
         let mut out = Outbox::new(self.next_timer);
         // Temporarily take the node out so the handler can't alias the sim.
         let mut node = std::mem::replace(&mut self.nodes[idx].node, Box::new(PlaceholderNode));
-        node.on_event(self.now, event, &mut out);
+        match work {
+            Work::Event(event) => node.on_event(self.now, event, &mut out),
+            Work::Call(f) => f(&mut *node, self.now, &mut out),
+        }
         self.nodes[idx].node = node;
         self.next_timer = out.next_timer;
         self.apply_outbox(target, out);
@@ -827,7 +857,7 @@ impl Sim {
             self.push_stamped(
                 at,
                 Some(src),
-                QueuedKind::Arrive(NodeEvent::Timer(id, tag)),
+                QueuedKind::Arrive(Work::Event(NodeEvent::Timer(id, tag))),
                 incarnation,
             );
         }
@@ -937,7 +967,11 @@ impl Sim {
                 dst,
                 payload: payload.clone(),
             };
-            self.push(at, Some(dst), QueuedKind::Arrive(NodeEvent::Packet(pkt)));
+            self.push(
+                at,
+                Some(dst),
+                QueuedKind::Arrive(Work::Event(NodeEvent::Packet(pkt))),
+            );
         }
     }
 
@@ -1448,6 +1482,102 @@ mod tests {
         );
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<LateCancel>(id).unwrap().fired, 0);
+    }
+
+    /// Records when its packets were handled, when scheduled calls ran
+    /// on it, and how many times it started.
+    #[derive(Default)]
+    struct CallLog {
+        starts: u32,
+        packets: Vec<SimTime>,
+        calls: Vec<(SimTime, u32)>,
+    }
+    impl SimNode for CallLog {
+        fn on_event(&mut self, now: SimTime, ev: NodeEvent, _out: &mut Outbox) {
+            match ev {
+                NodeEvent::Start => self.starts += 1,
+                NodeEvent::Packet(_) => self.packets.push(now),
+                NodeEvent::Timer(..) => {}
+            }
+        }
+    }
+
+    fn log_call(node: &mut dyn SimNode, now: SimTime, _out: &mut Outbox) {
+        let log = node.downcast_mut::<CallLog>().expect("a CallLog node");
+        log.calls.push((now, log.starts));
+    }
+
+    #[test]
+    fn a_call_scheduled_for_a_dead_node_is_dropped() {
+        let mut sim = Sim::new(SimConfig::default());
+        let id = sim.add_node(Site::Lan, Box::new(CallLog::default()));
+        let ran = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = std::sync::Arc::clone(&ran);
+        sim.schedule_crash(SimTime::from_millis(10), id);
+        sim.schedule_call(SimTime::from_millis(20), id, move |_, _, _| {
+            flag.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        sim.run_until(SimTime::from_millis(100));
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(sim.node_ref::<CallLog>(id).unwrap().calls.is_empty());
+        assert_eq!(sim.stats(), NetStats::default(), "a call is not traffic");
+    }
+
+    #[test]
+    fn a_call_after_a_restart_reaches_the_new_incarnation() {
+        let mut sim = Sim::new(SimConfig::default());
+        let id = sim.add_node(Site::Lan, Box::new(CallLog::default()));
+        sim.schedule_crash(SimTime::from_millis(100), id);
+        sim.schedule_restart(SimTime::from_millis(200), id);
+        sim.schedule_call(SimTime::from_millis(300), id, log_call);
+        sim.run_until(SimTime::from_millis(1000));
+        let log = sim.node_ref::<CallLog>(id).unwrap();
+        let per_timer = SimConfig::default().default_service.per_timer;
+        assert_eq!(
+            log.calls,
+            vec![(SimTime::from_millis(300) + per_timer, 2)],
+            "the call ran once, on the second incarnation"
+        );
+    }
+
+    #[test]
+    fn a_call_is_billed_per_timer_times_the_service_factor() {
+        // A packet lands on the receiver at the instant a call is due.
+        // The call queues first and holds the CPU for per_timer × 3; the
+        // packet then takes per_message × 3 of its own.
+        let cfg = SimConfig {
+            latency: LatencyMatrix::uniform(
+                LatencySpec::constant(Duration::from_micros(100)),
+                LatencySpec::constant(Duration::from_micros(100)),
+            ),
+            default_service: ServiceProfile {
+                per_message: Duration::from_millis(2),
+                per_kib: Duration::ZERO,
+                per_timer: Duration::from_millis(1),
+                per_send: Duration::ZERO,
+            },
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(cfg);
+        let rx = sim.add_node(Site::Lan, Box::new(CallLog::default()));
+        sim.add_node(
+            Site::Lan,
+            Box::new(Pinger {
+                peer: rx,
+                n: 1,
+                replies: 0,
+                first_at: SimTime::ZERO,
+                last_at: SimTime::ZERO,
+            }),
+        );
+        sim.schedule_set_service_factor(SimTime::ZERO, Some(rx), 3.0);
+        let arrival = SimTime::from_micros(100);
+        sim.schedule_call(arrival, rx, log_call);
+        sim.run_until_idle();
+        let log = sim.node_ref::<CallLog>(rx).unwrap();
+        let call_done = arrival + Duration::from_millis(3);
+        assert_eq!(log.calls, vec![(call_done, 1)]);
+        assert_eq!(log.packets, vec![call_done + Duration::from_millis(6)]);
     }
 
     #[test]

@@ -409,6 +409,7 @@ impl NsoApp for PeerApp {
             group,
             sender,
             payload,
+            ..
         } = output
         {
             if group != self.group {

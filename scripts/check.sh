@@ -60,8 +60,8 @@ echo "==> fault-injection campaign (quick, 25 seeds)"
 cargo build --release --offline -p newtop-check
 ./target/release/campaign --seeds 25 --quiet
 
-echo "==> crash-recovery campaign smoke (5 seeds: replay + delta rejoin obligations)"
-./target/release/campaign --recovery --seeds 5 --quiet
+echo "==> crash-recovery campaign smoke (25 seeds: replay + delta rejoin obligations)"
+./target/release/campaign --recovery --seeds 25 --quiet
 
 echo "==> loadgen smoke (flow control engages, queues stay bounded, batching on)"
 cargo build --release --offline -p newtop-bench --bin loadgen
@@ -71,17 +71,19 @@ echo "==> scale-model smoke (capacity sweep sustains its floor, replays byte-ide
 cargo build --release --offline -p newtop-bench --bin scale
 ./target/release/scale --smoke > /dev/null
 
-echo "==> perfbench smoke (the benchmark builds, a short invoke-open run is correct, its lockfile stays put)"
+echo "==> perfbench smoke (the benchmark builds, short invoke-open and peer-total runs are correct, its lockfile stays put)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-perfbench_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload invoke-open --seconds 2 --trace 0 | tail -n 1)
-case "$perfbench_last" in
-    *'"correct": true'*) ;;
-    *)
-        echo "ERROR: perfbench invoke-open smoke was not correct: $perfbench_last" >&2
-        exit 1
-        ;;
-esac
+for workload in invoke-open peer-total; do
+    perfbench_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+    case "$perfbench_last" in
+        *'"correct": true'*) ;;
+        *)
+            echo "ERROR: perfbench $workload smoke was not correct: $perfbench_last" >&2
+            exit 1
+            ;;
+    esac
+done
 if ! git diff --quiet -- perfbench/Cargo.lock; then
     echo "ERROR: building perfbench rewrote perfbench/Cargo.lock; a dependency of a crate it builds changed" >&2
     exit 1

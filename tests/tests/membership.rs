@@ -207,6 +207,8 @@ fn causal_one_way_sends_preserve_sender_fifo() {
     struct CausalPeer {
         members: Vec<NodeId>,
         delivered: Vec<(NodeId, Bytes)>,
+        /// `(sender, order, lamport)` of each delivery, in delivery order.
+        stamps: Vec<(NodeId, DeliveryOrder, u64)>,
         to_send: u32,
         sent: u32,
     }
@@ -233,10 +235,15 @@ fn causal_one_way_sends_preserve_sender_fifo() {
         }
         fn on_output(&mut self, _: &mut Nso, output: NsoOutput, _: SimTime, _: &mut Outbox) {
             if let NsoOutput::PeerDeliver {
-                sender, payload, ..
+                sender,
+                order,
+                lamport,
+                payload,
+                ..
             } = output
             {
                 self.delivered.push((sender, payload));
+                self.stamps.push((sender, order, lamport));
             }
         }
     }
@@ -251,6 +258,7 @@ fn causal_one_way_sends_preserve_sender_fifo() {
                 Box::new(CausalPeer {
                     members: members.clone(),
                     delivered: Vec::new(),
+                    stamps: Vec::new(),
                     to_send: 10,
                     sent: 0,
                 }),
@@ -279,6 +287,24 @@ fn causal_one_way_sends_preserve_sender_fifo() {
                 .collect();
             let expect: Vec<String> = (1..=10).map(|i| format!("{q}:{i}")).collect();
             assert_eq!(from_q, expect, "sender {q} FIFO at {m}");
+            // Each delivery reports the guarantee it was sent with and
+            // a Lamport stamp that rises strictly per sender.
+            let stamps: Vec<u64> = app
+                .stamps
+                .iter()
+                .filter(|(s, _, _)| *s == q)
+                .map(|&(_, _, lamport)| lamport)
+                .collect();
+            assert!(
+                stamps.windows(2).all(|w| w[0] < w[1]),
+                "sender {q}'s Lamport stamps do not rise at {m}: {stamps:?}"
+            );
         }
+        assert!(
+            app.stamps
+                .iter()
+                .all(|&(_, order, _)| order == DeliveryOrder::Causal),
+            "a causal send was reported with another order at {m}"
+        );
     }
 }

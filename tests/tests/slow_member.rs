@@ -6,8 +6,8 @@
 
 use std::time::Duration;
 
+use newtop::simnode::GcsHarness;
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
-use newtop_gcs::testkit::GcsHarness;
 use newtop_net::sim::SimConfig;
 use newtop_net::site::Site;
 use newtop_net::time::SimTime;
@@ -28,7 +28,7 @@ fn run_slow_member(ordering: OrderProtocol, seed: u64) {
     h.sim
         .schedule_set_service_factor(SimTime::from_millis(900), Some(slow), 1.0);
 
-    // Sustained load: every member multicasts every 3 ms throughout the
+    // Sustained load: every member multicasts every 2 ms throughout the
     // slow window — far more than the slowed group can acknowledge.
     let mut offered = 0u64;
     for (k, &node) in roster.iter().enumerate() {
@@ -44,7 +44,7 @@ fn run_slow_member(ordering: OrderProtocol, seed: u64) {
                 payload,
             );
             offered += 1;
-            at += 3;
+            at += 2;
             i += 1;
         }
     }
