@@ -1784,14 +1784,18 @@ impl Nso {
         }
     }
 
-    /// Sends what the node holds back for company: the staged
-    /// [`SendBuffer`] and every group's pending sequencer order records.
+    /// Runs the group layer's idle work ([`GcsMember::on_idle`]) and
+    /// sends what the node holds back for company: every group's
+    /// pending sequencer order records, a null in each symmetric group
+    /// where this member has received total-order data stamped past its
+    /// own last data or null, and the staged [`SendBuffer`].
     ///
     /// A threaded host calls this whenever its event queue runs empty,
     /// before it blocks. Under load the queue is not empty, so messages
-    /// still coalesce across events; the batch-flush timer and the
-    /// order-record interval stay the upper bounds. The simulator never
-    /// calls it, so its runs do not change.
+    /// still coalesce across events and members announce their clocks
+    /// through their own data; the batch-flush timer, the order-record
+    /// interval and the time-silence period stay the upper bounds. The
+    /// simulator never calls it, so its runs do not change.
     pub fn on_idle(&mut self, now: SimTime, out: &mut Outbox) {
         with_net(
             &mut self.orb,

@@ -1,7 +1,10 @@
 //! Edge cases of the NSO public API: bind failures and timeouts, unknown
 //! bindings, plain (non-group) ORB invocations, the naming service, and
-//! the idle flush a threaded host runs when its event queue empties.
+//! the idle work a threaded host runs when its event queue empties (the
+//! flush of staged sends and held order records, and symmetric order's
+//! idle nulls).
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -552,4 +555,75 @@ fn idle_flush_sends_order_records_held_by_the_interval() {
         order_records(&gcs_to(&idle, member_node)),
         vec![(2, vec![(member_node, 2)])]
     );
+}
+
+#[test]
+fn idle_nulls_release_a_symmetric_multicast_before_any_timer() {
+    // Three members, no timer ever fired: the time-silence nulls never
+    // go out, so each receiver's idle null is the only way the others
+    // can learn it has passed the multicast's stamp.
+    let ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("peers");
+    let now = SimTime::from_millis(1);
+    let mut nsos: Vec<Nso> = ids.iter().map(|&id| batching_nso(id)).collect();
+    let mut handle = None;
+    for nso in &mut nsos {
+        step(nso, |nso, out| {
+            handle = Some(
+                nso.create_peer_group(group.clone(), ids.clone(), GroupConfig::peer(), now, out)
+                    .unwrap(),
+            );
+        });
+    }
+    let peers = handle.unwrap();
+    step(&mut nsos[0], |nso, out| {
+        peers
+            .send(
+                nso,
+                Bytes::from_static(b"ordered"),
+                DeliveryOrder::Total,
+                now,
+                out,
+            )
+            .unwrap();
+    });
+    // The network: every node runs its idle work after each event, as
+    // the threaded runtime does when its queue empties, and what that
+    // sends is routed in turn.
+    fn route(src: NodeId, parts: OutboxParts, wire: &mut VecDeque<Packet>) {
+        for (dst, payload) in parts.sends {
+            wire.push_back(Packet { src, dst, payload });
+        }
+    }
+    let mut wire = VecDeque::new();
+    let idle = step(&mut nsos[0], |nso, out| nso.on_idle(now, out));
+    route(ids[0], idle, &mut wire);
+    while let Some(pkt) = wire.pop_front() {
+        let at = pkt.dst.index() as usize;
+        let received = step(&mut nsos[at], |nso, out| nso.on_packet(&pkt, now, out));
+        route(pkt.dst, received, &mut wire);
+        let idle = step(&mut nsos[at], |nso, out| nso.on_idle(now, out));
+        route(pkt.dst, idle, &mut wire);
+    }
+    for nso in &mut nsos {
+        let delivered: Vec<Bytes> = nso
+            .take_outputs()
+            .into_iter()
+            .filter_map(|o| match o {
+                NsoOutput::PeerDeliver { payload, .. } => Some(payload),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            delivered,
+            vec![Bytes::from_static(b"ordered")],
+            "node {} did not deliver the multicast",
+            nso.node()
+        );
+    }
+    let idle_nulls: u64 = nsos
+        .iter()
+        .map(|nso| nso.metrics().counter("gcs.idle_nulls"))
+        .sum();
+    assert_eq!(idle_nulls, 2, "one idle null from each receiver");
 }

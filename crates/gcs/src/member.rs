@@ -10,7 +10,8 @@
 //!   loopback to self — the paper's per-member invocation fan-out);
 //! * NACK-based retransmission and sequencer order-log repair;
 //! * the time-silence mechanism (null messages), in *lively* or
-//!   *event-driven* mode;
+//!   *event-driven* mode, plus the idle null a symmetric member sends
+//!   when its host runs out of work ([`GcsMember::on_idle`]);
 //! * the failure suspector;
 //! * view agreement: coordinator-led propose → state-response →
 //!   flush/install, giving virtually-synchronous view changes; the
@@ -432,6 +433,12 @@ struct GroupState {
     /// response) can be served again.
     last_install: Option<(u64, View, Vec<Arc<DataMsg>>)>,
     last_sent: SimTime,
+    /// The highest Lamport stamp of another member's total-order data
+    /// ingested in this view. A symmetric member whose `announced` is
+    /// below it sends an idle null ([`GcsMember::on_idle`]).
+    total_heard: u64,
+    /// The stamp of this member's last data or null in this view.
+    announced: u64,
     last_activity: SimTime,
     liveness_running: bool,
     nack_scheduled: bool,
@@ -665,6 +672,8 @@ impl GcsMember {
             vc: None,
             last_install: None,
             last_sent: now,
+            total_heard: 0,
+            announced: 0,
             last_activity: now,
             liveness_running: false,
             nack_scheduled: false,
@@ -739,6 +748,8 @@ impl GcsMember {
                 vc: None,
                 last_install: None,
                 last_sent: now,
+                total_heard: 0,
+                announced: 0,
                 last_activity: now,
                 liveness_running: false,
                 nack_scheduled: false,
@@ -856,6 +867,7 @@ impl GcsMember {
         };
         let seq = state.next_seq;
         state.next_seq += 1;
+        state.announced = lamport;
         let msg = DataMsg {
             group: group.clone(),
             view: state.view.id(),
@@ -1006,10 +1018,20 @@ impl GcsMember {
         std::mem::take(&mut self.pending)
     }
 
-    /// Sends every group's ordering records held back by the
-    /// [`ORDER_FLUSH_INTERVAL`] pacing, at once. A host calls this when
-    /// its event queue runs empty: records wait for company only while
-    /// more events are queued behind them.
+    /// The work a host does when its event queue runs empty. Records
+    /// and announcements wait for company only while more events are
+    /// queued behind them.
+    ///
+    /// * Every group's ordering records held back by the
+    ///   [`ORDER_FLUSH_INTERVAL`] pacing go out at once.
+    /// * Every symmetric group in which this member has received
+    ///   another member's total-order data stamped later than its own
+    ///   last data or null gets one null (counted as `gcs.idle_nulls`).
+    ///   That data is delivered only once every other member is heard
+    ///   at or past its stamp, so announcing the clock now, rather than
+    ///   with the next multicast or time-silence null, releases it one
+    ///   null hop after it arrives. An idle null is the time-silence
+    ///   null with an earlier trigger; the timer stays the upper bound.
     pub fn on_idle(&mut self, now: SimTime, net: &mut GcsNet<'_>) {
         let held: Vec<GroupId> = self
             .groups
@@ -1021,6 +1043,21 @@ impl GcsMember {
             .collect();
         for group in held {
             self.flush_order_records(&group, now, net);
+        }
+        let behind: Vec<GroupId> = self
+            .groups
+            .iter()
+            .filter(|(_, state)| {
+                state.is_member()
+                    && state.vc.is_none()
+                    && state.config.ordering == OrderProtocol::Symmetric
+                    && state.total_heard > state.announced
+            })
+            .map(|(group, _)| group.clone())
+            .collect();
+        for group in behind {
+            self.send_null(&group, now, net);
+            self.obs.metrics.incr("gcs.idle_nulls");
         }
     }
 
@@ -1050,6 +1087,9 @@ impl GcsMember {
         }
         state.last_heard.insert(d.sender, now);
         state.last_activity = now;
+        if d.order == DeliveryOrder::Total && d.sender != self.node {
+            state.total_heard = state.total_heard.max(d.lamport);
+        }
         state.engine.apply_acks(d.sender, &d.acks);
         // The piggybacked ack vector doubles as flow-control credit
         // replenishment: the entry about this node is the contiguous
@@ -1665,6 +1705,8 @@ impl GcsMember {
             return;
         };
         state.engine = engine;
+        state.total_heard = 0;
+        state.announced = 0;
         state.role = Role::Member;
         state.next_seq = 1;
         // New view, new flow ledger: sends renumber from 1 and credits
@@ -1717,7 +1759,6 @@ impl GcsMember {
     // --- timers ------------------------------------------------------------------
 
     fn on_null_timer(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
-        let node = self.node;
         if !self.should_run_liveness(group, now) {
             if let Some(state) = self.groups.get_mut(group) {
                 state.liveness_running = false;
@@ -1732,27 +1773,7 @@ impl GcsMember {
             return;
         };
         if now.saturating_since(last_sent) >= period {
-            let lamport = self.clock.tick();
-            let Some(state) = self.groups.get_mut(group) else {
-                return;
-            };
-            let msg = GcsMessage::Null(NullMsg {
-                group: group.clone(),
-                view: state.view.id(),
-                sender: node,
-                lamport,
-                last_seq: state.next_seq - 1,
-                acks: state.engine.contig_vector(),
-            });
-            let targets: Vec<NodeId> = state
-                .view
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| m != node)
-                .collect();
-            net.send_fanout(state.config.fanout, targets, &msg);
-            state.last_sent = now;
+            self.send_null(group, now, net);
             self.obs.record(
                 now,
                 TraceEvent::TimeSilenceNull {
@@ -1761,6 +1782,34 @@ impl GcsMember {
             );
         }
         self.schedule(group, TimerKind::Null, period, 0, net);
+    }
+
+    /// Multicasts a null to the rest of the view: this member's clock,
+    /// its last sequence number and its acks.
+    fn send_null(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
+        let node = self.node;
+        let lamport = self.clock.tick();
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        let msg = GcsMessage::Null(NullMsg {
+            group: group.clone(),
+            view: state.view.id(),
+            sender: node,
+            lamport,
+            last_seq: state.next_seq - 1,
+            acks: state.engine.contig_vector(),
+        });
+        let targets: Vec<NodeId> = state
+            .view
+            .members()
+            .iter()
+            .copied()
+            .filter(|&m| m != node)
+            .collect();
+        net.send_fanout(state.config.fanout, targets, &msg);
+        state.last_sent = now;
+        state.announced = lamport;
     }
 
     fn on_suspicion_timer(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
@@ -2378,6 +2427,22 @@ mod tests {
             .is_err());
     }
 
+    /// Receives a frame `src` sent to `dst` through a peer ORB and
+    /// decodes the GCS message in its GIOP body.
+    fn decode_frame(src: NodeId, dst: NodeId, payload: Bytes) -> GcsMessage {
+        let pkt = newtop_net::sim::Packet { src, dst, payload };
+        let mut peer = OrbCore::new(dst);
+        let mut peer_out = Outbox::detached(0);
+        let Some(newtop_orb::orb::OrbIncoming::Upcall { body, .. }) =
+            peer.handle_packet(&pkt, &mut peer_out)
+        else {
+            panic!("GCS frame did not arrive as a oneway upcall");
+        };
+        use newtop_orb::cdr::CdrDecode as _;
+        let mut dec = newtop_orb::cdr::CdrDecoder::new(&body);
+        GcsMessage::decode(&mut dec).unwrap()
+    }
+
     fn data_msg(seq: u64) -> GcsMessage {
         GcsMessage::Data(Arc::new(DataMsg {
             group: GroupId::new("g"),
@@ -2436,23 +2501,7 @@ mod tests {
         let sends = out.into_parts().sends;
         assert_eq!(sends.len(), 1, "three staged sends must share one frame");
 
-        // Receive the frame through a peer ORB to recover the GIOP body.
-        let pkt = newtop_net::sim::Packet {
-            src: n(0),
-            dst: n(1),
-            payload: sends[0].1.clone(),
-        };
-        let mut peer = OrbCore::new(n(1));
-        let mut peer_out = Outbox::detached(0);
-        let Some(newtop_orb::orb::OrbIncoming::Upcall { body, .. }) =
-            peer.handle_packet(&pkt, &mut peer_out)
-        else {
-            panic!("batch frame did not arrive as a oneway upcall");
-        };
-
-        use newtop_orb::cdr::CdrDecode as _;
-        let mut dec = newtop_orb::cdr::CdrDecoder::new(&body);
-        let GcsMessage::Batch(unpacked) = GcsMessage::decode(&mut dec).unwrap() else {
+        let GcsMessage::Batch(unpacked) = decode_frame(n(0), n(1), sends[0].1.clone()) else {
             panic!("multi-message flush must produce a Batch envelope");
         };
         assert_eq!(unpacked.len(), msgs.len());
@@ -2469,5 +2518,155 @@ mod tests {
                 "unbatched constituent re-encodes to different bytes"
             );
         }
+    }
+
+    /// Runs `f` against a fresh, unbatched network context of `m` and
+    /// returns the GCS messages it sent, with their destinations.
+    fn sent_by(
+        m: &mut GcsMember,
+        f: impl FnOnce(&mut GcsMember, &mut GcsNet<'_>),
+    ) -> Vec<(NodeId, GcsMessage)> {
+        let me = m.node();
+        let (mut orb, mut out, mut buf) = net_parts(me);
+        f(
+            m,
+            &mut GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf),
+        );
+        out.into_parts()
+            .sends
+            .into_iter()
+            .map(|(dst, frame)| (dst, decode_frame(me, dst, frame)))
+            .collect()
+    }
+
+    /// Node `me` in the three-member group `g` with the given ordering.
+    fn member_of_three(me: NodeId, ordering: OrderProtocol) -> GcsMember {
+        let mut m = GcsMember::new(me, 0);
+        sent_by(&mut m, |m, net| {
+            m.create_group(
+                GroupId::new("g"),
+                GroupConfig::peer().with_ordering(ordering),
+                vec![n(0), n(1), n(2)],
+                SimTime::ZERO,
+                net,
+            )
+            .unwrap();
+        });
+        m
+    }
+
+    /// Data from `sender` in `g`'s first view, carrying no acks.
+    fn peer_data(sender: NodeId, seq: u64, lamport: u64, order: DeliveryOrder) -> GcsMessage {
+        GcsMessage::Data(Arc::new(DataMsg {
+            group: GroupId::new("g"),
+            view: ViewId(1),
+            sender,
+            seq,
+            lamport,
+            order,
+            deps: DepsVector::new(),
+            acks: Vec::new(),
+            payload: Bytes::from_static(b"x"),
+        }))
+    }
+
+    fn receive(m: &mut GcsMember, msg: GcsMessage) {
+        sent_by(m, |m, net| {
+            m.on_message(msg, SimTime::ZERO, net);
+        });
+    }
+
+    fn idle(m: &mut GcsMember) -> Vec<(NodeId, GcsMessage)> {
+        sent_by(m, |m, net| m.on_idle(SimTime::ZERO, net))
+    }
+
+    #[test]
+    fn idle_symmetric_member_announces_past_received_total_order_data() {
+        let mut m = member_of_three(n(0), OrderProtocol::Symmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Total));
+        let sent = idle(&mut m);
+        let mut dests: Vec<NodeId> = sent.iter().map(|(dst, _)| *dst).collect();
+        dests.sort();
+        assert_eq!(dests, vec![n(1), n(2)], "one null to each other member");
+        for (_, msg) in &sent {
+            let GcsMessage::Null(null) = msg else {
+                panic!("the idle announcement must be a null: {msg:?}");
+            };
+            assert_eq!(null.sender, n(0));
+            assert_eq!(null.last_seq, 0);
+            assert!(null.lamport > 7, "the null must pass the data's stamp");
+        }
+        assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 1);
+        assert_eq!(
+            m.observability().metrics.counter("ev.time_silence_null"),
+            0,
+            "idle nulls stay out of the trace ring"
+        );
+        assert!(idle(&mut m).is_empty(), "announced once, nothing more");
+        assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 1);
+    }
+
+    #[test]
+    fn a_member_that_multicast_since_receiving_sends_no_idle_null() {
+        let mut m = member_of_three(n(0), OrderProtocol::Symmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Total));
+        sent_by(&mut m, |m, net| {
+            m.multicast(
+                &GroupId::new("g"),
+                DeliveryOrder::Total,
+                Bytes::from_static(b"mine"),
+                SimTime::ZERO,
+                net,
+            )
+            .unwrap();
+        });
+        assert!(idle(&mut m).is_empty());
+        assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 0);
+    }
+
+    #[test]
+    fn causal_traffic_draws_no_idle_null() {
+        let mut m = member_of_three(n(0), OrderProtocol::Symmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Causal));
+        assert!(idle(&mut m).is_empty());
+    }
+
+    #[test]
+    fn asymmetric_idle_work_is_only_the_held_order_records() {
+        // Node 0 sequences. Both records fall inside the flush interval
+        // and are held, so the idle pass sends them as one batch to each
+        // other member, and no null.
+        let mut m = member_of_three(n(0), OrderProtocol::Asymmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Total));
+        receive(&mut m, peer_data(n(1), 2, 8, DeliveryOrder::Total));
+        let sent = idle(&mut m);
+        assert_eq!(sent.len(), 2, "one records batch per other member");
+        for (_, msg) in &sent {
+            let GcsMessage::SeqOrder { entries, .. } = msg else {
+                panic!("asymmetric idle work sends only order records: {msg:?}");
+            };
+            assert_eq!(entries, &vec![(n(1), 1), (n(1), 2)]);
+        }
+        assert!(idle(&mut m).is_empty());
+        assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 0);
+
+        // A member that does not sequence has no idle work at all.
+        let mut m = member_of_three(n(2), OrderProtocol::Asymmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Total));
+        assert!(idle(&mut m).is_empty());
+    }
+
+    #[test]
+    fn a_message_from_the_old_view_draws_no_null_after_an_install() {
+        let mut m = member_of_three(n(0), OrderProtocol::Symmetric);
+        receive(&mut m, peer_data(n(1), 1, 7, DeliveryOrder::Total));
+        let g = GroupId::new("g");
+        let next = View::new(g.clone(), ViewId(2), vec![n(0), n(1), n(2)]);
+        sent_by(&mut m, |m, net| {
+            m.apply_install(&g, next, Vec::new(), SimTime::ZERO, net);
+        });
+        assert_eq!(m.view_of(&g).unwrap().id(), ViewId(2));
+        assert!(idle(&mut m).is_empty());
+        assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 0);
     }
 }

@@ -223,7 +223,7 @@ impl Observability {
     /// The counter is exact for the node's lifetime; the trace ring may
     /// drop old records under sustained load.
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        self.metrics.incr(&format!("ev.{}", event.kind()));
+        self.metrics.incr(event.counter_name());
         self.trace.record(at, event);
     }
 }

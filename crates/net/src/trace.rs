@@ -142,22 +142,31 @@ impl TraceEvent {
     /// its auto-maintained `ev.*` counter.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        let name = self.counter_name();
+        name.strip_prefix("ev.").unwrap_or(name)
+    }
+
+    /// The name of the event's `ev.*` counter: `"ev."` followed by
+    /// [`Self::kind`]. A static string, so recording an event builds no
+    /// counter name.
+    #[must_use]
+    pub fn counter_name(&self) -> &'static str {
         match self {
-            TraceEvent::ViewInstalled { .. } => "view_installed",
-            TraceEvent::Suspected { .. } => "suspected",
-            TraceEvent::NackSent { .. } => "nack_sent",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::SequencerBatch { .. } => "sequencer_batch",
-            TraceEvent::TimeSilenceNull { .. } => "time_silence_null",
-            TraceEvent::RequestForwarded { .. } => "request_forwarded",
-            TraceEvent::ReplyCollected { .. } => "reply_collected",
-            TraceEvent::Executed { .. } => "executed",
-            TraceEvent::RetryDeduped { .. } => "retry_deduped",
-            TraceEvent::Rebind { .. } => "rebind",
-            TraceEvent::BindReady { .. } => "bind_ready",
-            TraceEvent::BindFailed { .. } => "bind_failed",
-            TraceEvent::Promoted { .. } => "promoted",
-            TraceEvent::MalformedDropped { .. } => "malformed_dropped",
+            TraceEvent::ViewInstalled { .. } => "ev.view_installed",
+            TraceEvent::Suspected { .. } => "ev.suspected",
+            TraceEvent::NackSent { .. } => "ev.nack_sent",
+            TraceEvent::Retransmit { .. } => "ev.retransmit",
+            TraceEvent::SequencerBatch { .. } => "ev.sequencer_batch",
+            TraceEvent::TimeSilenceNull { .. } => "ev.time_silence_null",
+            TraceEvent::RequestForwarded { .. } => "ev.request_forwarded",
+            TraceEvent::ReplyCollected { .. } => "ev.reply_collected",
+            TraceEvent::Executed { .. } => "ev.executed",
+            TraceEvent::RetryDeduped { .. } => "ev.retry_deduped",
+            TraceEvent::Rebind { .. } => "ev.rebind",
+            TraceEvent::BindReady { .. } => "ev.bind_ready",
+            TraceEvent::BindFailed { .. } => "ev.bind_failed",
+            TraceEvent::Promoted { .. } => "ev.promoted",
+            TraceEvent::MalformedDropped { .. } => "ev.malformed_dropped",
         }
     }
 }
@@ -358,6 +367,87 @@ mod tests {
         assert_eq!(log.dropped(), 3);
         let first = log.iter().next().unwrap();
         assert_eq!(first.at, SimTime::from_millis(3));
+    }
+
+    #[test]
+    fn counter_names_are_ev_dot_kind() {
+        let group = || "g".to_owned();
+        let every_variant = [
+            TraceEvent::ViewInstalled {
+                group: group(),
+                view: 1,
+                members: 3,
+            },
+            TraceEvent::Suspected {
+                group: group(),
+                suspect: n(2),
+            },
+            TraceEvent::NackSent {
+                group: group(),
+                to: n(2),
+                count: 1,
+            },
+            TraceEvent::Retransmit {
+                group: group(),
+                to: n(2),
+                count: 1,
+            },
+            TraceEvent::SequencerBatch {
+                group: group(),
+                records: 2,
+            },
+            TraceEvent::TimeSilenceNull { group: group() },
+            TraceEvent::RequestForwarded {
+                client: n(1),
+                number: 7,
+            },
+            TraceEvent::ReplyCollected {
+                client: n(1),
+                number: 7,
+            },
+            TraceEvent::Executed {
+                client: n(1),
+                number: 7,
+            },
+            TraceEvent::RetryDeduped {
+                client: n(1),
+                number: 7,
+            },
+            TraceEvent::Rebind {
+                group: group(),
+                manager: n(0),
+            },
+            TraceEvent::BindReady { group: group() },
+            TraceEvent::BindFailed { group: group() },
+            TraceEvent::Promoted {
+                group: group(),
+                replayed: 0,
+            },
+            TraceEvent::MalformedDropped {
+                operation: "gcs".to_owned(),
+            },
+        ];
+        for event in &every_variant {
+            assert_eq!(
+                event.counter_name(),
+                format!("ev.{}", event.kind()),
+                "{event:?}"
+            );
+        }
+        // The names the benchmark's per-layer report reads.
+        let names: Vec<&str> = every_variant.iter().map(TraceEvent::counter_name).collect();
+        for read in [
+            "ev.time_silence_null",
+            "ev.nack_sent",
+            "ev.retransmit",
+            "ev.view_installed",
+            "ev.suspected",
+            "ev.request_forwarded",
+            "ev.executed",
+            "ev.reply_collected",
+        ] {
+            assert!(names.contains(&read), "{read} is gone");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! and packets, application commands and the stop event. The loop blocks
 //! on it until its next timer deadline, so it wakes when work arrives
 //! rather than on a poll, and applies everything to the node's one
-//! protocol engine. Whenever the queue runs empty, the loop first sends
-//! what batching staged ([`Nso::on_idle`]).
+//! protocol engine. Whenever the queue runs empty, the loop first runs
+//! the NSO's idle work ([`Nso::on_idle`]): it sends what batching staged
+//! and announces the node's clock in symmetric groups that wait on it.
 //! Applications drive the node through a [`NodeHandle`]:
 //! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
 //! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /

@@ -71,6 +71,12 @@ echo "==> scale-model smoke (capacity sweep sustains its floor, replays byte-ide
 cargo build --release --offline -p newtop-bench --bin scale
 ./target/release/scale --smoke > /dev/null
 
+echo "==> example programs (each asserts its own outcome and exits non-zero when its run goes wrong)"
+cargo build --release --offline -p newtop-examples
+for example in quickstart replicated_bank passive_store conference group_to_group; do
+    ./target/release/"$example" > /dev/null
+done
+
 echo "==> perfbench smoke (the benchmark builds, short invoke-open and peer-total runs are correct, its lockfile stays put)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 for workload in invoke-open peer-total; do

@@ -197,3 +197,52 @@ fn peer_group_over_threads() {
         n.shutdown();
     }
 }
+
+#[test]
+fn one_symmetric_multicast_is_delivered_without_waiting_for_time_silence() {
+    // Only node 0 sends, and the time-silence nulls are a minute apart:
+    // the others' idle nulls, sent as soon as each runs out of work, are
+    // what lets every member deliver within the wait.
+    let nodes = spawn_channel_cluster(3);
+    let members: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("quiet-peers");
+    for handle in &nodes {
+        let group = group.clone();
+        let members = members.clone();
+        handle.with_nso(move |nso, now, out| {
+            nso.create_peer_group(
+                group,
+                members,
+                GroupConfig::peer().with_time_silence(Duration::from_secs(60)),
+                now,
+                out,
+            )
+            .unwrap();
+        });
+    }
+    nodes[0].with_nso(move |nso, now, out| {
+        let peer = nso.handle_for(&group).unwrap();
+        peer.send(
+            nso,
+            Bytes::from_static(b"only"),
+            DeliveryOrder::Total,
+            now,
+            out,
+        )
+        .unwrap();
+    });
+    for handle in &nodes {
+        let delivered = handle
+            .wait_for_output(Duration::from_secs(10), |o| {
+                matches!(o, NsoOutput::PeerDeliver { .. })
+            })
+            .expect("delivered before the first time-silence null");
+        let NsoOutput::PeerDeliver { payload, .. } = delivered else {
+            unreachable!()
+        };
+        assert_eq!(payload.as_ref(), b"only");
+    }
+    for n in nodes {
+        n.shutdown();
+    }
+}
