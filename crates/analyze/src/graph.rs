@@ -184,9 +184,7 @@ pub const CRATE_DEPS: &[(&str, &[&str])] = &[
     (
         "bench",
         &[
-            "flow",
             "net",
-            "rt",
             "orb",
             "gcs",
             "invocation",

@@ -27,7 +27,6 @@
 //! [`selftest`] proves every family still fires on injected-bad input.
 
 pub mod allow;
-pub mod cache;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -78,25 +77,18 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// A full workspace analysis: the findings plus report warnings
-/// (skipped macro bodies, cache statistics).
+/// (skipped macro bodies).
 pub struct Analysis {
     /// Sorted, deduplicated findings from every rule family.
     pub findings: Vec<Finding>,
     /// Non-fatal coverage warnings, surfaced in the JSON report so
     /// skipped code is never silent.
     pub warnings: Vec<String>,
-    /// Token-cache hits (for the runtime summary line).
-    pub cache_hits: usize,
-    /// Files lexed fresh.
-    pub cache_misses: usize,
 }
 
 /// Lexes, parses and runs every rule over the workspace at `root`.
-/// Finding paths are workspace-relative with `/` separators. When
-/// `use_cache` is set, per-file token streams are memoized under
-/// `<root>/target/analyze-cache/`.
-pub fn analyze_workspace_cached(root: &Path, use_cache: bool) -> io::Result<Analysis> {
-    let mut parse_cache = cache::ParseCache::new(root, use_cache);
+/// Finding paths are workspace-relative with `/` separators.
+pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut parsed = Vec::new();
     let mut skipped_macros = 0u32;
     for path in collect_files(root)? {
@@ -108,7 +100,7 @@ pub fn analyze_workspace_cached(root: &Path, use_cache: bool) -> io::Result<Anal
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let file = items::parse_file(&rel, parse_cache.tokens(&rel, &src));
+        let file = items::parse_file(&rel, lexer::lex(&src));
         skipped_macros += file.skipped_macros;
         parsed.push(file);
     }
@@ -122,15 +114,7 @@ pub fn analyze_workspace_cached(root: &Path, use_cache: bool) -> io::Result<Anal
     Ok(Analysis {
         findings: rules::run_all(&parsed),
         warnings,
-        cache_hits: parse_cache.hits,
-        cache_misses: parse_cache.misses,
     })
-}
-
-/// [`analyze_workspace_cached`] without the cache or warnings — the
-/// findings alone.
-pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(analyze_workspace_cached(root, false)?.findings)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! baseline drift, or failed self-test, 2 usage/configuration error
 //! (bad allowlist, missing workspace, unwritable report).
 
-use newtop_analyze::{allow, analyze_workspace_cached, report, selftest};
+use newtop_analyze::{allow, analyze_workspace, report, selftest};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -30,8 +30,6 @@ OPTIONS:
     --write-baseline <FILE>
                          write the current surviving findings as the new
                          baseline and exit clean
-    --no-cache           disable the per-file token cache under
-                         target/analyze-cache/
     -h, --help           this text
 ";
 
@@ -43,14 +41,12 @@ fn main() -> ExitCode {
     let mut json_out: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut use_cache = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--self-test" => self_test = true,
             "--show-allowed" => show_allowed = true,
-            "--no-cache" => use_cache = false,
             "--root" => match args.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage_error("--root needs a value"),
@@ -107,7 +103,7 @@ fn main() -> ExitCode {
         Vec::new()
     };
 
-    let analysis = match analyze_workspace_cached(&root, use_cache) {
+    let analysis = match analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => return usage_error(&format!("analyzing workspace: {e}")),
     };
@@ -171,14 +167,12 @@ fn main() -> ExitCode {
             println!("STALE BASELINE: `{id}` is no longer produced — a finding was fixed; regenerate with --write-baseline");
         }
         println!(
-            "newtop-analyze: {total} finding(s), {} allowlisted ({} entries), {} baselined, {} new, {} stale (cache: {} hit / {} miss)",
+            "newtop-analyze: {total} finding(s), {} allowlisted ({} entries), {} baselined, {} new, {} stale",
             suppressed.len(),
             entries.len(),
             base_ids.len(),
             new.len(),
             fixed.len(),
-            analysis.cache_hits,
-            analysis.cache_misses,
         );
         return if new.is_empty() && fixed.is_empty() {
             ExitCode::SUCCESS
@@ -194,12 +188,10 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "newtop-analyze: {total} finding(s), {} allowlisted ({} entries), {} surviving (cache: {} hit / {} miss)",
+        "newtop-analyze: {total} finding(s), {} allowlisted ({} entries), {} surviving",
         suppressed.len(),
         entries.len(),
         surviving.len(),
-        analysis.cache_hits,
-        analysis.cache_misses,
     );
     if surviving.is_empty() {
         ExitCode::SUCCESS

@@ -40,9 +40,8 @@ pub fn finding_ids(findings: &[Finding]) -> Vec<String> {
         .collect()
 }
 
-/// Serializes findings and warnings as the JSON report. Hand-rolled —
-/// the vendored workspace has no serde — matching the writer style the
-/// loadgen/scale harnesses already use.
+/// Serializes findings and warnings as the JSON report. Hand-rolled:
+/// the vendored workspace has no serde.
 #[must_use]
 pub fn to_json(findings: &[Finding], warnings: &[String]) -> String {
     let ids = finding_ids(findings);

@@ -15,7 +15,9 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn the_analyzer_passes_the_analyzer() {
     let root = workspace_root();
-    let findings = newtop_analyze::analyze_workspace(&root).expect("analysis runs");
+    let findings = newtop_analyze::analyze_workspace(&root)
+        .expect("analysis runs")
+        .findings;
     let own: Vec<String> = findings
         .iter()
         .filter(|f| f.file.starts_with("crates/analyze/"))
@@ -31,7 +33,9 @@ fn the_analyzer_passes_the_analyzer() {
 #[test]
 fn every_workspace_finding_is_allowlisted() {
     let root = workspace_root();
-    let findings = newtop_analyze::analyze_workspace(&root).expect("analysis runs");
+    let findings = newtop_analyze::analyze_workspace(&root)
+        .expect("analysis runs")
+        .findings;
     let text = std::fs::read_to_string(root.join("analyze.allow")).expect("analyze.allow");
     let entries = newtop_analyze::allow::parse(&text).expect("allowlist parses");
     let (_, surviving) =

@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of the substrate: CDR marshalling, the
 //! group-communication wire codec, the delivery engine's ordering
-//! pipelines, and the clock primitives.
+//! pipelines, the clock primitives, and directory resolves.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use newtop::directory::{DirReply, DirRequest, GroupRecord};
+use newtop_dir::directory::DirectoryState;
 use newtop_gcs::clock::{DepsVector, LamportClock};
 use newtop_gcs::engine::EngineConfig;
-use newtop_gcs::group::{DeliveryOrder, GroupId, OrderProtocol};
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
 use newtop_gcs::messages::{DataMsg, GcsMessage};
 use newtop_gcs::view::ViewId;
 use newtop_net::site::NodeId;
@@ -193,12 +195,58 @@ fn bench_clocks(c: &mut Criterion) {
     g.finish();
 }
 
+/// Resolve round trips through one member's table of 64 groups: decode
+/// the request, look the name up, encode the reply — the servant-side
+/// cost of a cache-miss `bind`.
+fn bench_directory(c: &mut Criterion) {
+    const RECORDS: usize = 64;
+    let mut g = c.benchmark_group("directory");
+    g.throughput(Throughput::Elements(1));
+    let mut state = DirectoryState::default();
+    for i in 0..RECORDS {
+        state.apply(GroupRecord {
+            name: format!("svc-{i}"),
+            config: GroupConfig::request_reply(),
+            members: (0..3u32).map(NodeId::from_index).collect(),
+            view: ViewId(1),
+        });
+    }
+    let requests: Vec<Bytes> = (0..RECORDS)
+        .map(|i| {
+            DirRequest::Resolve {
+                name: format!("svc-{i}"),
+            }
+            .to_cdr()
+        })
+        .collect();
+    let mut found = 0u64;
+    g.bench_function("resolve_64_records", |b| {
+        let mut next = 0usize;
+        b.iter(|| {
+            let reply = state
+                .handle_raw(&requests[next % RECORDS])
+                .expect("well-formed request");
+            next += 1;
+            if matches!(DirReply::from_cdr(&reply), Ok(DirReply::Found { .. })) {
+                found += 1;
+            }
+        });
+    });
+    assert!(
+        found > 0 && found == state.resolves,
+        "every resolve must hit ({found} of {} found)",
+        state.resolves
+    );
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cdr,
     bench_giop,
     bench_engine_symmetric,
     bench_engine_asymmetric,
-    bench_clocks
+    bench_clocks,
+    bench_directory
 );
 criterion_main!(benches);

@@ -14,7 +14,22 @@
 //! | §5.1.3 / §4.2 design choices | `ablations` |
 //!
 //! `micro` contains criterion micro-benchmarks of the substrate (CDR
-//! marshalling, wire codecs, the delivery engine's ordering pipelines).
+//! marshalling, wire codecs, the delivery engine's ordering pipelines,
+//! the clocks, directory resolves), and `fanout_encode` compares the
+//! encode-once multicast path with per-recipient encoding. Those two
+//! measure wall-clock time and are report-only.
+//!
+//! The `bench_snapshot` binary runs every other simulator measurement
+//! at full size — the LAN closed-group call, the closed-loop client
+//! sweep, the multi-group run, the open-loop storms, the capacity sweep
+//! ([`scale`]) and the cold restart — and prints them as one JSON
+//! document. It takes no flags; `NEWTOP_BENCH_SEED` sets the seed. The
+//! document is a pure function of the seed, so `scripts/check.sh` diffs
+//! it against the committed `BENCH_SIM.json`:
+//!
+//! ```text
+//! cargo run --release --offline -p newtop-bench --bin bench_snapshot > BENCH_SIM.json
+//! ```
 //!
 //! Run everything with `cargo bench --workspace`; each figure target also
 //! accepts `NEWTOP_BENCH_SEED` to vary the simulation seed.
@@ -37,3 +52,36 @@ pub const CLIENT_SWEEP: &[usize] = &[1, 2, 4, 8, 12, 16, 20];
 
 /// The group sizes used by the peer figures.
 pub const PEER_SIZES: &[usize] = &[2, 3, 4, 6, 8, 10];
+
+/// Renders a JSON object from `(key, value)` pairs, one field per line,
+/// in the given order. Each value is already JSON text; one that spans
+/// lines is indented one level.
+#[must_use]
+pub fn json_object<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, String)>) -> String {
+    json_block(
+        '{',
+        fields
+            .into_iter()
+            .map(|(key, value)| format!("\"{}\": {value}", key.as_ref())),
+        '}',
+    )
+}
+
+/// Renders a JSON array of already-rendered values, one per line.
+#[must_use]
+pub fn json_array(items: impl IntoIterator<Item = String>) -> String {
+    json_block('[', items, ']')
+}
+
+fn json_block(open: char, entries: impl IntoIterator<Item = String>, close: char) -> String {
+    let mut s = String::from(open);
+    let mut sep = "\n  ";
+    for entry in entries {
+        s.push_str(sep);
+        s.push_str(&entry.replace('\n', "\n  "));
+        sep = ",\n  ";
+    }
+    s.push('\n');
+    s.push(close);
+    s
+}

@@ -1,4 +1,5 @@
-//! The geo-distributed capacity sweep behind the `scale` binary.
+//! The geo-distributed capacity sweep: the `capacity_sweep` section of
+//! the `bench_snapshot` document.
 //!
 //! Each cell of the sweep matrix fixes a service configuration —
 //! ordering protocol × binding policy × reply-collection mode × region
@@ -16,13 +17,14 @@
 //! whole sweep — capacities, digests, the rendered JSON — is a pure
 //! function of `(seed, config)` and can be replayed byte-for-byte.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use newtop_gcs::group::OrderProtocol;
 use newtop_invocation::api::ReplyMode;
 use newtop_workloads::scenario::BindingPolicy;
 use newtop_workloads::{run_scale, RegionMatrix, ScaleResult, ScaleScenario};
+
+use crate::{json_array, json_object};
 
 /// Parameters shared by every cell of one sweep.
 #[derive(Clone, Debug)]
@@ -270,119 +272,55 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Renders the sweep as the JSON document `scripts/bench_snapshot.sh`
-/// records as `BENCH_PR8.json`. Built as a string (not printed) so the
+/// Renders the sweep as the `capacity_sweep` section of the
+/// `bench_snapshot` document. Built as a string (not printed) so the
 /// determinism tests can compare two sweeps byte for byte.
 #[must_use]
 pub fn render_json(cfg: &SweepConfig, outcomes: &[CellOutcome]) -> String {
-    let mut s = String::new();
-    let best = outcomes.iter().max_by_key(|o| o.capacity);
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"scale\",");
-    let _ = writeln!(s, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(s, "  \"p99_bound_ms\": {:.1},", ms(cfg.p99_bound));
-    let _ = writeln!(
-        s,
-        "  \"think_time_s\": {:.1},",
-        cfg.think_time.as_secs_f64()
-    );
-    let _ = writeln!(s, "  \"probe_duration_ms\": {},", cfg.duration.as_millis());
-    let _ = writeln!(s, "  \"start_clients\": {},", cfg.start_clients);
-    let _ = writeln!(s, "  \"max_clients\": {},", cfg.max_clients);
-    if let Some(b) = best {
-        let _ = writeln!(s, "  \"best\": {{");
-        let _ = writeln!(
-            s,
-            "    \"region\": \"{}\", \"ordering\": \"{}\", \"binding\": \"{}\", \"reply\": \"{}\",",
-            b.spec.region.label(),
-            b.spec.ordering_label(),
-            b.spec.binding_label(),
-            b.spec.mode_label()
-        );
-        let _ = writeln!(s, "    \"max_sustainable_clients\": {}", b.capacity);
-        let _ = writeln!(s, "  }},");
+    let labels = |spec: &CellSpec| {
+        [
+            ("region", spec.region.label()),
+            ("ordering", spec.ordering_label()),
+            ("binding", spec.binding_label()),
+            ("reply", spec.mode_label()),
+        ]
+        .map(|(key, label)| (key, format!("\"{label}\"")))
+    };
+    let mut fields = vec![
+        ("p99_bound_ms", format!("{:.1}", ms(cfg.p99_bound))),
+        (
+            "think_time_s",
+            format!("{:.1}", cfg.think_time.as_secs_f64()),
+        ),
+        ("probe_duration_ms", cfg.duration.as_millis().to_string()),
+        ("start_clients", cfg.start_clients.to_string()),
+        ("max_clients", cfg.max_clients.to_string()),
+    ];
+    if let Some(b) = outcomes.iter().max_by_key(|o| o.capacity) {
+        let mut best = labels(&b.spec).to_vec();
+        best.push(("max_sustainable_clients", b.capacity.to_string()));
+        fields.push(("best", json_object(best)));
     }
-    s.push_str("  \"cells\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let sep = if i + 1 == outcomes.len() { "" } else { "," };
+    let cells = outcomes.iter().map(|o| {
         let r = &o.measured;
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(
-            s,
-            "      \"region\": \"{}\", \"ordering\": \"{}\", \"binding\": \"{}\", \"reply\": \"{}\",",
-            o.spec.region.label(),
-            o.spec.ordering_label(),
-            o.spec.binding_label(),
-            o.spec.mode_label()
-        );
-        let _ = writeln!(
-            s,
-            "      \"max_sustainable_clients\": {}, \"probes\": {},",
-            o.capacity, o.probes
-        );
-        let _ = writeln!(
-            s,
-            "      \"offered_per_sec\": {:.1}, \"goodput_per_sec\": {:.1},",
-            r.offered_per_sec, r.goodput_per_sec
-        );
-        let _ = writeln!(
-            s,
-            "      \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3},",
-            ms(r.p50),
-            ms(r.p95),
-            ms(r.p99)
-        );
-        let _ = writeln!(
-            s,
-            "      \"arrivals_in_window\": {}, \"completed\": {}, \"shed_in_window\": {}, \"expired\": {},",
-            r.arrivals_in_window, r.completed, r.shed_in_window, r.expired
-        );
-        let _ = writeln!(
-            s,
-            "      \"suspicions\": {}, \"arrival_digest\": \"{:#018x}\"",
-            r.suspicions, r.arrival_digest
-        );
-        let _ = writeln!(s, "    }}{sep}");
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders the sweep as the markdown capacity table recorded in
-/// `EXPERIMENTS.md`.
-#[must_use]
-pub fn render_markdown(cfg: &SweepConfig, outcomes: &[CellOutcome]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| region | ordering | binding | reply | max clients | offered/s | goodput/s | p99 (ms) | shed | susp |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---:|---:|---:|---:|---:|---:|");
-    for o in outcomes {
-        let r = &o.measured;
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.1} | {} | {} |",
-            o.spec.region.label(),
-            o.spec.ordering_label(),
-            o.spec.binding_label(),
-            o.spec.mode_label(),
-            o.capacity,
-            r.offered_per_sec,
-            r.goodput_per_sec,
-            ms(r.p99),
-            r.shed_in_window,
-            r.suspicions
-        );
-    }
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "(seed {}, p99 bound {:.0} ms, think time {:.0} s, probe {} ms)",
-        cfg.seed,
-        ms(cfg.p99_bound),
-        cfg.think_time.as_secs_f64(),
-        cfg.duration.as_millis()
-    );
-    s
+        let mut cell = labels(&o.spec).to_vec();
+        cell.extend([
+            ("max_sustainable_clients", o.capacity.to_string()),
+            ("probes", o.probes.to_string()),
+            ("offered_per_sec", format!("{:.1}", r.offered_per_sec)),
+            ("goodput_per_sec", format!("{:.1}", r.goodput_per_sec)),
+            ("p50_ms", format!("{:.3}", ms(r.p50))),
+            ("p95_ms", format!("{:.3}", ms(r.p95))),
+            ("p99_ms", format!("{:.3}", ms(r.p99))),
+            ("arrivals_in_window", r.arrivals_in_window.to_string()),
+            ("completed", r.completed.to_string()),
+            ("shed_in_window", r.shed_in_window.to_string()),
+            ("expired", r.expired.to_string()),
+            ("suspicions", r.suspicions.to_string()),
+            ("arrival_digest", format!("\"{:#018x}\"", r.arrival_digest)),
+        ]);
+        json_object(cell)
+    });
+    fields.push(("cells", json_array(cells)));
+    json_object(fields)
 }

@@ -27,66 +27,27 @@ pub mod queue;
 
 use std::collections::BTreeMap;
 
-/// Sizing knobs for the flow-control subsystem.
+/// Default sizes for the bounded queues and pending-call limits.
 ///
-/// One config flows outward from the application: the GCS takes
-/// `send_window` and `max_queued_multicasts`, transports and runtimes
-/// take `queue_capacity`, and the invocation layer takes
-/// `max_pending_calls`.
+/// Transports and runtimes size their queues from `queue_capacity`,
+/// and the invocation layer bounds in-flight calls by
+/// `max_pending_calls`. The GCS takes its send window and view-change
+/// buffer from `GroupConfig`, per group, not from here.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FlowConfig {
-    /// Maximum multicasts a member may have outstanding (sent in the
-    /// current view but not yet acknowledged by every other member)
-    /// before further sends are shed.
-    pub send_window: u64,
     /// Capacity of each bounded transport/runtime queue.
     pub queue_capacity: usize,
     /// Maximum in-flight invocations a client, caller group or server
     /// backlog will hold before shedding new calls.
     pub max_pending_calls: usize,
-    /// Maximum multicasts buffered while a view change is in progress
-    /// (the GCS queues own sends until the new view installs).
-    pub max_queued_multicasts: usize,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
-            send_window: 64,
             queue_capacity: 1024,
             max_pending_calls: 256,
-            max_queued_multicasts: 128,
         }
-    }
-}
-
-impl FlowConfig {
-    /// Replaces the send window.
-    #[must_use]
-    pub fn with_send_window(mut self, window: u64) -> Self {
-        self.send_window = window;
-        self
-    }
-
-    /// Replaces the transport/runtime queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Replaces the pending-call admission limit.
-    #[must_use]
-    pub fn with_max_pending_calls(mut self, max: usize) -> Self {
-        self.max_pending_calls = max;
-        self
-    }
-
-    /// Replaces the view-change multicast buffer limit.
-    #[must_use]
-    pub fn with_max_queued_multicasts(mut self, max: usize) -> Self {
-        self.max_queued_multicasts = max;
-        self
     }
 }
 

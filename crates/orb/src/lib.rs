@@ -20,7 +20,7 @@
 //!   correlation, oneway invocations and servant dispatch, driven by
 //!   whatever runtime owns it (simulator or threads);
 //! * [`naming`] — a minimal naming service (bind/resolve), the CORBA
-//!   NameService stand-in used by the runnable examples.
+//!   NameService stand-in.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

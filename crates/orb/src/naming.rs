@@ -2,9 +2,10 @@
 //!
 //! One node hosts a [`NameServer`] servant under the well-known key
 //! [`NAME_SERVICE_KEY`]; other nodes use the [`NamingClient`] helpers to
-//! marshal `bind`/`resolve`/`unbind` requests against it. The runnable
-//! examples use this to discover group members without hard-wiring
-//! references.
+//! marshal `bind`/`resolve`/`unbind` requests against it. No example
+//! uses it: they bind to member ids directly, and name-based binding
+//! goes through the replicated group directory (`newtop-dir`). Its one
+//! user is the plain-invocation test in `crates/core/tests/nso_edges.rs`.
 
 use bytes::Bytes;
 

@@ -55,29 +55,20 @@ use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
 use newtop_net::transport::WireTransport;
 
-/// Construction options for [`NodeRuntime::spawn`]: the flow bounds.
+/// Construction options for [`NodeRuntime::spawn`].
 ///
-/// The defaults are the production posture: default [`FlowConfig`]
-/// queue bounds. Every node runs one protocol engine and always batches
-/// its sends; the read-only accessors below report both facts.
+/// There is nothing to set: every node sizes its event and output
+/// queues from the default [`FlowConfig::queue_capacity`], runs one
+/// protocol engine and always batches its sends. The read-only
+/// accessors below report the last two facts.
 #[derive(Clone, Debug, Default)]
-pub struct RuntimeOptions {
-    flow: FlowConfig,
-}
+pub struct RuntimeOptions {}
 
 impl RuntimeOptions {
     /// The default options (see the type docs).
     #[must_use]
     pub fn new() -> Self {
         RuntimeOptions::default()
-    }
-
-    /// Sets the flow configuration: the event and output queue bounds
-    /// and the flow-control window.
-    #[must_use]
-    pub fn with_flow(mut self, flow: FlowConfig) -> Self {
-        self.flow = flow;
-        self
     }
 
     /// Protocol engines per node. Always 1: one engine, and so one
@@ -94,12 +85,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn batching(&self) -> bool {
         true
-    }
-
-    /// The configured flow bounds.
-    #[must_use]
-    pub fn flow(&self) -> &FlowConfig {
-        &self.flow
     }
 }
 
@@ -223,7 +208,7 @@ pub struct NodeRuntime;
 impl NodeRuntime {
     /// Spawns a node: an NSO event loop over `transport` (which names
     /// the node via [`WireTransport::local`]), receiving packets from
-    /// `incoming`, configured by `opts`.
+    /// `incoming`. `RuntimeOptions` has nothing to set (see its docs).
     ///
     /// The node runs two threads: the event loop `nso-{node}` and the
     /// ingress thread `newtop-rt-ingress-{node}`, which decodes GCS
@@ -231,10 +216,10 @@ impl NodeRuntime {
     pub fn spawn<T: WireTransport>(
         transport: T,
         incoming: Receiver<Packet>,
-        opts: RuntimeOptions,
+        _opts: RuntimeOptions,
     ) -> NodeHandle {
         let node = transport.local();
-        let capacity = opts.flow.queue_capacity;
+        let capacity = FlowConfig::default().queue_capacity;
         let (event_tx, event_rx) = bounded::<Event>(capacity);
         let (out_tx, out_rx) = bounded::<NsoOutput>(capacity);
         spawn_ingress(node, incoming, event_tx.clone());

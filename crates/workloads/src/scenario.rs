@@ -327,8 +327,8 @@ pub fn run_request_reply(s: &RequestReplyScenario) -> RequestReplyResult {
 }
 
 /// Like [`run_request_reply`] but also returns every in-window
-/// completion latency, in completion order — the `loadgen` binary
-/// reports percentiles from these.
+/// completion latency, in completion order — the `closed_sim` section
+/// of the `bench_snapshot` binary reports percentiles from these.
 #[must_use]
 pub fn run_request_reply_latencies(
     s: &RequestReplyScenario,

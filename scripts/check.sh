@@ -63,13 +63,19 @@ cargo build --release --offline -p newtop-check
 echo "==> crash-recovery campaign smoke (25 seeds: replay + delta rejoin obligations)"
 ./target/release/campaign --recovery --seeds 25 --quiet
 
-echo "==> loadgen smoke (flow control engages, queues stay bounded, batching on)"
-cargo build --release --offline -p newtop-bench --bin loadgen
-./target/release/loadgen --smoke > /dev/null
-
-echo "==> scale-model smoke (capacity sweep sustains its floor, replays byte-identically)"
-cargo build --release --offline -p newtop-bench --bin scale
-./target/release/scale --smoke > /dev/null
+echo "==> simulator bench (bench_snapshot asserts its invariants and reproduces BENCH_SIM.json byte for byte)"
+# The document is a pure function of the seed, so any difference is a
+# behaviour change. The baseline records today's numbers, known defects
+# included: it detects change, it is not a target.
+cargo build --release --offline -p newtop-bench --bin bench_snapshot
+env -u NEWTOP_BENCH_SEED ./target/release/bench_snapshot > target/bench_sim.json
+if ! diff -u BENCH_SIM.json target/bench_sim.json; then
+    echo "ERROR: the simulator's numbers differ from the committed BENCH_SIM.json (diff above)." >&2
+    echo "If the change is intended, regenerate the baseline with" >&2
+    echo "  env -u NEWTOP_BENCH_SEED cargo run --release --offline -p newtop-bench --bin bench_snapshot > BENCH_SIM.json" >&2
+    echo "and say in CHANGES.md why the numbers moved." >&2
+    exit 1
+fi
 
 echo "==> example programs (each asserts its own outcome and exits non-zero when its run goes wrong)"
 cargo build --release --offline -p newtop-examples
