@@ -77,6 +77,7 @@ fn lan_closed_group(seed: u64) -> String {
         binding: BindingPolicy::Closed,
         ..RequestReplyScenario::paper_default(Placement::AllLan, 1, seed)
     });
+    assert_eq!(closed.gave_up, 0, "the LAN closed-group client gave up");
     json_object([
         ("clients", "1".to_owned()),
         (
@@ -104,6 +105,10 @@ fn closed_loop_sim(seed: u64) -> (String, f64) {
             result.completed > 0,
             "closed-loop simulator run with {clients} clients completed nothing"
         );
+        assert_eq!(
+            result.gave_up, 0,
+            "a closed-loop simulator client gave up ({clients} clients)"
+        );
         knee = knee.max(result.throughput);
         let mut row = vec![
             ("clients", clients.to_string()),
@@ -126,6 +131,7 @@ fn multi_group_sim(seed: u64) -> String {
         result.completed,
         result.duplicated
     );
+    assert_eq!(result.gave_up, 0, "a multi-group hub proxy gave up");
     assert!(
         result.batch_frames > 0,
         "batching was on but no batch frames were sent"

@@ -201,6 +201,12 @@ fn run_nso_cell(seed: u64, ordering: OrderProtocol, open: bool, plan: &FaultPlan
             r.duplicated
         ));
     }
+    if r.gave_up > 0 {
+        failures.push(format!(
+            "nso: {} clients gave up after every replica failed",
+            r.gave_up
+        ));
+    }
     if r.double_executions > 0 {
         failures.push(format!(
             "nso: {} double executions (reply cache failed to dedup)",

@@ -103,7 +103,7 @@ pub mod simnode;
 pub use nso::{
     BindOptions, BindTarget, GroupHandle, GroupServant, NewtopError, Nso, NsoOptions, NsoOutput,
 };
-pub use proxy::{ProxyEvent, ProxyStyle, SmartProxy};
+pub use proxy::{ProxyEvent, SmartProxy, RETRY_AFTER};
 
 /// The ORB operation carrying binding-control requests between NSOs.
 pub const INV_CTRL_OPERATION: &str = "inv-ctrl";

@@ -1,13 +1,15 @@
 //! The smart proxy end to end: queued calls, automatic rebind-and-retry
-//! across a request-manager crash, and give-up when every replica dies.
+//! across a request-manager crash, give-up when every replica dies, and
+//! two proxies sharing one NSO.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 
 use newtop::nso::{BindOptions, Nso, NsoOutput};
-use newtop::proxy::{ProxyEvent, ProxyStyle, SmartProxy};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
+use newtop::tags;
 use newtop_gcs::group::{GroupConfig, GroupId, OrderProtocol};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
 use newtop_net::sim::{Outbox, Sim, SimConfig};
@@ -19,13 +21,14 @@ fn gid() -> GroupId {
 }
 
 struct Server {
+    group: GroupId,
     members: Vec<NodeId>,
 }
 
 impl NsoApp for Server {
     fn on_start(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
         nso.create_server_group(
-            gid(),
+            self.group.clone(),
             self.members.clone(),
             Replication::Active,
             OpenOptimisation::None,
@@ -39,7 +42,7 @@ impl NsoApp for Server {
         )
         .expect("server group");
         nso.register_group_servant(
-            gid(),
+            self.group.clone(),
             Box::new(move |_: &str, args: &[u8]| Bytes::copy_from_slice(args)),
         );
     }
@@ -73,8 +76,8 @@ impl ProxyClient {
 
 impl NsoApp for ProxyClient {
     fn on_start(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        self.proxy.start(nso, now, out);
-        // Calls made before the binding is up are queued.
+        // The first call binds; calls made before the binding is up are
+        // queued.
         self.maybe_issue(nso, now, out);
     }
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
@@ -97,26 +100,23 @@ fn build(open: bool, total: u64, seed: u64) -> (Sim, Vec<NodeId>, NodeId) {
             Box::new(NsoNode::new(
                 s,
                 Box::new(Server {
+                    group: gid(),
                     members: servers.clone(),
                 }),
             )),
         );
     }
-    let style = if open {
-        ProxyStyle::Open { restricted: false }
+    let opts = if open {
+        BindOptions::open(servers[0])
     } else {
-        ProxyStyle::Closed
+        BindOptions::closed(servers.clone())
     };
     let proxy = SmartProxy::new(
         gid(),
         servers.clone(),
-        style,
-        BindOptions {
-            time_silence: Duration::from_millis(20),
-            ..BindOptions::default()
-        },
-    )
-    .with_retry_interval(Duration::from_millis(150));
+        opts.with_time_silence(Duration::from_millis(20)),
+        tags::APP_BASE,
+    );
     let client = NodeId::from_index(3);
     sim.add_node(
         Site::Lan,
@@ -221,4 +221,124 @@ fn proxy_gives_up_when_every_replica_is_dead() {
         app.events
     );
     assert!(completions(&sim, client).is_empty());
+}
+
+/// One client node holding one proxy per service.
+struct TwoServiceClient {
+    /// `(proxy, its service's replicas)`.
+    proxies: Vec<(SmartProxy, Vec<NodeId>)>,
+    per_proxy: u64,
+    issued: Vec<u64>,
+    /// `(proxy index, replying servers)` per completed call.
+    completions: Vec<(usize, Vec<NodeId>)>,
+}
+
+impl TwoServiceClient {
+    fn maybe_issue(&mut self, idx: usize, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
+        let proxy = &mut self.proxies[idx].0;
+        if self.issued[idx] < self.per_proxy && proxy.pending() == 0 {
+            self.issued[idx] += 1;
+            proxy.invoke(nso, "echo", Bytes::new(), ReplyMode::All, now, out);
+        }
+    }
+}
+
+impl NsoApp for TwoServiceClient {
+    fn on_start(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
+        for idx in 0..self.proxies.len() {
+            self.maybe_issue(idx, nso, now, out);
+        }
+    }
+    fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
+        for (proxy, _) in &mut self.proxies {
+            proxy.on_timer(nso, tag, now, out);
+        }
+    }
+    /// Every output goes to every proxy: each must pick out its own.
+    fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
+        for idx in 0..self.proxies.len() {
+            if let Some(ProxyEvent::Complete { replies, .. }) =
+                self.proxies[idx].0.on_output(nso, &output, now, out)
+            {
+                self.completions
+                    .push((idx, replies.iter().map(|(s, _)| *s).collect()));
+                self.maybe_issue(idx, nso, now, out);
+            }
+        }
+    }
+}
+
+#[test]
+fn two_proxies_in_one_nso_each_reach_their_own_service() {
+    let mut sim = Sim::new(SimConfig::lan(95));
+    let services: Vec<(GroupId, Vec<NodeId>)> = ["svc-a", "svc-b"]
+        .into_iter()
+        .enumerate()
+        .map(|(g, name)| {
+            let members = (0..3)
+                .map(|i| NodeId::from_index(3 * g as u32 + i))
+                .collect();
+            (GroupId::new(name), members)
+        })
+        .collect();
+    for (group, members) in &services {
+        for &s in members {
+            sim.add_node(
+                Site::Lan,
+                Box::new(NsoNode::new(
+                    s,
+                    Box::new(Server {
+                        group: group.clone(),
+                        members: members.clone(),
+                    }),
+                )),
+            );
+        }
+    }
+    let proxies = services
+        .iter()
+        .zip(tags::APP_BASE..)
+        .map(|((group, members), tag)| {
+            let opts = BindOptions::open(members[0]).with_time_silence(Duration::from_millis(20));
+            (
+                SmartProxy::new(group.clone(), members.clone(), opts, tag),
+                members.clone(),
+            )
+        })
+        .collect();
+    let client = NodeId::from_index(6);
+    sim.add_node(
+        Site::Lan,
+        Box::new(NsoNode::new(
+            client,
+            Box::new(TwoServiceClient {
+                proxies,
+                per_proxy: 20,
+                issued: vec![0, 0],
+                completions: Vec::new(),
+            }),
+        )),
+    );
+    sim.run_until(SimTime::from_secs(10));
+    let app = sim
+        .node_ref::<NsoNode>(client)
+        .unwrap()
+        .app_ref::<TwoServiceClient>()
+        .unwrap();
+    for (idx, (_, members)) in app.proxies.iter().enumerate() {
+        let done: Vec<&Vec<NodeId>> = app
+            .completions
+            .iter()
+            .filter(|(i, _)| *i == idx)
+            .map(|(_, servers)| servers)
+            .collect();
+        assert_eq!(done.len(), 20, "proxy {idx} completed every call");
+        for servers in done {
+            assert_eq!(servers.len(), 3, "wait-for-all gathers all three");
+            assert!(
+                servers.iter().all(|s| members.contains(s)),
+                "proxy {idx} got replies from {servers:?}, outside its service {members:?}"
+            );
+        }
+    }
 }

@@ -1,10 +1,15 @@
 //! NSO applications driving the paper's workloads.
 //!
 //! * [`ServerApp`] — one replica of the random-number service.
-//! * [`ClientApp`] — a closed-loop request-reply client (open or closed
-//!   binding), with §4.1 rebind-and-retry on a broken binding.
+//! * [`ClientApp`] — a closed-loop request-reply client (open, closed or
+//!   directory-resolved binding).
+//! * [`HubApp`] — a closed-loop client of several services at once.
 //! * [`PeerApp`] — a peer-participation member multicasting 100-character
 //!   strings as fast as its own deliveries come back.
+//!
+//! The two request-reply clients only decide when to call: each drives a
+//! [`SmartProxy`] per service, which binds, rebinds and retries (§4.1),
+//! and records the completions and rebinds it reports.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -12,7 +17,8 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use newtop::directory::GroupRecord;
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput, ResolveStyle};
+use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::NsoApp;
 use newtop::tags;
 use newtop_dir::app::register_service;
@@ -81,40 +87,12 @@ impl NsoApp for ServerApp {
     }
 }
 
-/// How a [`ClientApp`] binds to the service.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClientStyle {
-    /// Closed client/server group containing every server.
-    Closed,
-    /// Open binding to the given server (an index into the server list).
-    Open {
-        /// Which server acts as this client's request manager.
-        manager_index: usize,
-    },
-    /// Name-based binding through the replicated directory: the server
-    /// group id doubles as the service name, resolved against the listed
-    /// directory members and shaped per `style`.
-    Directory {
-        /// The directory members to consult.
-        directory: Vec<NodeId>,
-        /// The binding shape built from the resolved record.
-        style: ResolveStyle,
-    },
-}
-
 /// A closed-loop request-reply client: issues the next request the moment
-/// the previous reply completes (the paper's measurement client).
+/// the previous reply completes (the paper's measurement client). Its
+/// [`SmartProxy`] binds, rebinds and retries.
 pub struct ClientApp {
-    /// The server group to bind to.
-    pub server_group: GroupId,
-    /// The service's replicas (for binding and rebinding).
-    pub servers: Vec<NodeId>,
-    /// Binding style.
-    pub style: ClientStyle,
     /// Reply-collection primitive.
     pub mode: ReplyMode,
-    /// Ordering protocol for the client/server group.
-    pub ordering: OrderProtocol,
     /// Stagger before binding.
     pub start_delay: Duration,
     /// `(completion time, response time)` per completed call.
@@ -125,121 +103,47 @@ pub struct ClientApp {
     /// surfaced twice to the application. Exactly-once delivery requires
     /// this to stay zero even across rebind + retry.
     pub duplicate_completions: u32,
-    /// How long a call may stay unanswered before it is re-issued with
-    /// the same number (§4.1 retry; the server reply cache deduplicates,
-    /// so a spurious retry costs bandwidth, never correctness). Chosen
-    /// far above any fault-free response time so it only fires when a
-    /// request or reply was actually lost.
-    pub retry_after: Duration,
-    /// Calls re-issued by the retry timer.
-    pub retries: u32,
-    binding: Option<GroupHandle>,
-    issued_at: HashMap<u64, SimTime>,
-    current_manager_index: usize,
+    /// Times the proxy gave up after every replica failed (the client
+    /// then stops calling) — must stay zero.
+    pub gave_up: u32,
+    proxy: SmartProxy,
 }
 
-/// Timer tag for the call-retry check ([`ClientApp::retry_after`]).
-const RETRY_TAG: u64 = tags::APP_BASE + 1;
+/// Timer tag owned by a client's proxy; [`tags::APP_BASE`] is the
+/// client's start timer.
+const PROXY_TAG: u64 = tags::APP_BASE + 1;
 
 impl ClientApp {
-    /// Creates a client for the standard sweep.
+    /// Creates a client of `server_group`, whose replicas are `servers`,
+    /// bound in the shape `opts` names.
     #[must_use]
     pub fn new(
         server_group: GroupId,
         servers: Vec<NodeId>,
-        style: ClientStyle,
+        opts: BindOptions,
         mode: ReplyMode,
-        ordering: OrderProtocol,
         start_delay: Duration,
     ) -> Self {
-        let current_manager_index = match &style {
-            ClientStyle::Open { manager_index } => *manager_index,
-            ClientStyle::Closed | ClientStyle::Directory { .. } => 0,
-        };
         ClientApp {
-            server_group,
-            servers,
-            style,
             mode,
-            ordering,
             start_delay,
             completions: Vec::new(),
             rebinds: 0,
             duplicate_completions: 0,
-            retry_after: Duration::from_millis(100),
-            retries: 0,
-            binding: None,
-            issued_at: HashMap::new(),
-            current_manager_index,
+            gave_up: 0,
+            proxy: SmartProxy::new(server_group, servers, opts, PROXY_TAG),
         }
     }
 
-    fn bind(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let opts = match &self.style {
-            ClientStyle::Closed => BindOptions::closed(self.servers.clone()),
-            ClientStyle::Open { .. } => {
-                let manager = self.servers[self.current_manager_index % self.servers.len()];
-                BindOptions::open(manager)
-            }
-            ClientStyle::Directory { directory, style } => {
-                // A rebind rotates the open rank, mirroring the
-                // explicit styles' next-server behaviour; the fresh
-                // resolution also drops any member the directory has
-                // already learned is gone.
-                let style = match *style {
-                    ResolveStyle::Open { rank } => ResolveStyle::Open {
-                        rank: rank + self.current_manager_index,
-                    },
-                    other => other,
-                };
-                BindOptions::resolve(self.server_group.as_str(), directory.clone())
-                    .with_resolve_style(style)
-            }
-        }
-        .with_ordering(self.ordering);
-        nso.bind(self.server_group.clone(), opts, now, out)
-            .expect("bind");
+    /// Calls the proxy's retry timer has sent again.
+    #[must_use]
+    pub fn retries(&self) -> u32 {
+        self.proxy.retries()
     }
 
     fn issue(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let Some(binding) = self.binding.clone() else {
-            return;
-        };
-        match binding.invoke(nso, "rand", Bytes::new(), self.mode, now, out) {
-            Ok(call) => {
-                self.issued_at.insert(call.number, now);
-                out.set_timer(self.retry_after, RETRY_TAG);
-            }
-            Err(_) => {
-                // Binding raced away; a rebind is in flight.
-            }
-        }
-    }
-
-    /// Re-issues calls that have been pending longer than `retry_after`.
-    /// This is what recovers a lost request *or* reply: the group may
-    /// look quiet to everyone else, so no other layer will.
-    fn check_retries(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let Some(binding) = self.binding.clone() else {
-            // A rebind is in flight; `BindingReady` re-issues pending
-            // calls itself.
-            return;
-        };
-        let mut stale: Vec<u64> = self
-            .issued_at
-            .iter()
-            .filter(|&(_, &at)| now - at >= self.retry_after)
-            .map(|(&n, _)| n)
-            .collect();
-        stale.sort_unstable();
-        for number in stale {
-            if binding.retry(nso, number, now, out).is_ok() {
-                self.retries += 1;
-            }
-        }
-        if !self.issued_at.is_empty() {
-            out.set_timer(self.retry_after, RETRY_TAG);
-        }
+        self.proxy
+            .invoke(nso, "rand", Bytes::new(), self.mode, now, out);
     }
 }
 
@@ -249,49 +153,23 @@ impl NsoApp for ClientApp {
     }
 
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
-        if tag == RETRY_TAG {
-            self.check_retries(nso, now, out);
+        if tag == tags::APP_BASE {
+            self.issue(nso, now, out);
         } else {
-            self.bind(nso, now, out);
+            self.proxy.on_timer(nso, tag, now, out);
         }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                // Rebind-and-retry (§4.1): re-issue whatever is still
-                // pending with the original call numbers; only start fresh
-                // traffic when nothing is outstanding.
-                let pending: Vec<u64> = self.issued_at.keys().copied().collect();
-                if pending.is_empty() {
-                    self.issue(nso, now, out);
-                }
-                for number in pending {
-                    let _ = binding.retry(nso, number, now, out);
-                }
-            }
-            NsoOutput::BindFailed { .. } => {
-                // Try the next server.
-                self.current_manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::BindingBroken { .. } => {
-                self.rebinds += 1;
-                self.binding = None;
-                self.current_manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::InvocationComplete { call, .. } => {
-                if let Some(at) = self.issued_at.remove(&call.number) {
-                    self.completions.push((now, now - at));
-                } else {
-                    self.duplicate_completions += 1;
-                }
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Complete { issued_at, .. }) => {
+                self.completions.push((now, now - issued_at));
                 self.issue(nso, now, out);
+            }
+            Some(ProxyEvent::Rebound { broken: true }) => self.rebinds += 1,
+            Some(ProxyEvent::GaveUp) => self.gave_up += 1,
+            None if matches!(output, NsoOutput::InvocationComplete { .. }) => {
+                self.duplicate_completions += 1;
             }
             _ => {}
         }
@@ -426,29 +304,15 @@ impl NsoApp for PeerApp {
     }
 }
 
-/// One service a [`HubApp`] talks to: its group, replicas, and the
-/// hub's closed-loop state for it.
-struct HubSlot {
-    service: GroupId,
-    servers: Vec<NodeId>,
-    binding: Option<GroupHandle>,
-    /// The binding group id returned by `bind`, used to route
-    /// `BindingReady` back to this slot before the handle is live.
-    bound_as: Option<GroupId>,
-    /// `(call number, issued at)` of the outstanding call, if any.
-    outstanding: Option<(u64, SimTime)>,
-}
-
 /// A multi-service client hub: binds to several independent services at
-/// once and runs a closed loop (one outstanding call) against each.
+/// once and runs a closed loop (one outstanding call) against each, one
+/// [`SmartProxy`] per service.
 ///
 /// The hub's bindings share no member but the hub itself, so its one
 /// engine orders several independent services at once.
 pub struct HubApp {
     /// Reply-collection primitive for every call.
     pub mode: ReplyMode,
-    /// Ordering protocol for the client/server groups.
-    pub ordering: OrderProtocol,
     /// Stagger before binding.
     pub start_delay: Duration,
     /// `(completion time, response time)` per completed call, across all
@@ -456,19 +320,15 @@ pub struct HubApp {
     pub completions: Vec<(SimTime, Duration)>,
     /// Completions that surfaced twice — must stay zero.
     pub duplicate_completions: u32,
-    /// How long a call may stay unanswered before it is re-issued with
-    /// the same number (the server reply cache deduplicates).
-    pub retry_after: Duration,
-    slots: Vec<HubSlot>,
-    /// Outstanding call number → slot index.
-    in_flight: HashMap<u64, usize>,
+    /// Proxies that gave up after every replica failed (that service
+    /// then gets no more calls) — must stay zero.
+    pub gave_up: u32,
+    proxies: Vec<SmartProxy>,
 }
-
-/// Timer tag for the hub's retry check.
-const HUB_RETRY_TAG: u64 = tags::APP_BASE + 2;
 
 impl HubApp {
     /// Creates a hub bound to every listed `(service group, replicas)`.
+    /// Proxy `i` owns timer tag `tags::APP_BASE + 1 + i`.
     #[must_use]
     pub fn new(
         services: Vec<(GroupId, Vec<NodeId>)>,
@@ -476,131 +336,63 @@ impl HubApp {
         ordering: OrderProtocol,
         start_delay: Duration,
     ) -> Self {
+        let proxies = services
+            .into_iter()
+            .zip(tags::APP_BASE + 1..)
+            .map(|((service, servers), tag)| {
+                let opts = BindOptions::closed(servers.clone())
+                    .with_ordering(ordering)
+                    // Asynchronous fan-outs let the data path batch: the
+                    // data multicast, its acks and the piggybacked order
+                    // records can share a frame per destination.
+                    .with_fanout(FanoutMode::Asynchronous);
+                SmartProxy::new(service, servers, opts, tag)
+            })
+            .collect();
         HubApp {
             mode,
-            ordering,
             start_delay,
             completions: Vec::new(),
             duplicate_completions: 0,
-            retry_after: Duration::from_millis(150),
-            slots: services
-                .into_iter()
-                .map(|(service, servers)| HubSlot {
-                    service,
-                    servers,
-                    binding: None,
-                    bound_as: None,
-                    outstanding: None,
-                })
-                .collect(),
-            in_flight: HashMap::new(),
+            gave_up: 0,
+            proxies,
         }
-    }
-
-    fn bind_slot(&mut self, idx: usize, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let slot = &mut self.slots[idx];
-        let opts = BindOptions::closed(slot.servers.clone())
-            .with_ordering(self.ordering)
-            // Asynchronous fan-outs let the data path batch: the data
-            // multicast, its acks and the piggybacked order records can
-            // share a frame per destination.
-            .with_fanout(FanoutMode::Asynchronous);
-        match nso.bind(slot.service.clone(), opts, now, out) {
-            Ok(handle) => slot.bound_as = Some(handle.id().clone()),
-            Err(_) => {
-                // The previous binding group is still tearing down; the
-                // retry timer re-attempts.
-            }
-        }
-    }
-
-    fn issue(&mut self, idx: usize, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let slot = &mut self.slots[idx];
-        let Some(binding) = slot.binding.clone() else {
-            return;
-        };
-        if let Ok(call) = binding.invoke(nso, "rand", Bytes::new(), self.mode, now, out) {
-            slot.outstanding = Some((call.number, now));
-            self.in_flight.insert(call.number, idx);
-        }
-    }
-
-    fn check_retries(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        for idx in 0..self.slots.len() {
-            let slot = &self.slots[idx];
-            match (&slot.binding, slot.bound_as.is_some(), slot.outstanding) {
-                (Some(binding), _, Some((number, at))) if now - at >= self.retry_after => {
-                    let _ = binding.clone().retry(nso, number, now, out);
-                }
-                (None, false, _) => self.bind_slot(idx, nso, now, out),
-                _ => {}
-            }
-        }
-        out.set_timer(self.retry_after, HUB_RETRY_TAG);
     }
 }
 
 impl NsoApp for HubApp {
     fn on_start(&mut self, _nso: &mut Nso, _now: SimTime, out: &mut Outbox) {
         out.set_timer(self.start_delay, tags::APP_BASE);
-        out.set_timer(self.start_delay + self.retry_after, HUB_RETRY_TAG);
     }
 
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
-        if tag == HUB_RETRY_TAG {
-            self.check_retries(nso, now, out);
-        } else {
-            // Stagger the binds slightly so control traffic doesn't burst.
-            for idx in 0..self.slots.len() {
-                self.bind_slot(idx, nso, now, out);
+        for proxy in &mut self.proxies {
+            if tag == tags::APP_BASE {
+                proxy.invoke(nso, "rand", Bytes::new(), self.mode, now, out);
+            } else {
+                proxy.on_timer(nso, tag, now, out);
             }
         }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(idx) = self
-                    .slots
-                    .iter()
-                    .position(|s| s.bound_as.as_ref() == Some(&group))
-                else {
+        for proxy in &mut self.proxies {
+            match proxy.on_output(nso, &output, now, out) {
+                Some(ProxyEvent::Complete { issued_at, .. }) => {
+                    self.completions.push((now, now - issued_at));
+                    proxy.invoke(nso, "rand", Bytes::new(), self.mode, now, out);
                     return;
-                };
-                let Some(binding) = nso.handle_for(&group) else {
+                }
+                Some(ProxyEvent::GaveUp) => {
+                    self.gave_up += 1;
                     return;
-                };
-                self.slots[idx].binding = Some(binding.clone());
-                match self.slots[idx].outstanding {
-                    Some((number, _)) => {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                    None => self.issue(idx, nso, now, out),
                 }
+                Some(_) => return,
+                None => {}
             }
-            NsoOutput::BindFailed { group } | NsoOutput::BindingBroken { group, .. } => {
-                if let Some(idx) = self
-                    .slots
-                    .iter()
-                    .position(|s| s.bound_as.as_ref() == Some(&group))
-                {
-                    self.slots[idx].binding = None;
-                    self.slots[idx].bound_as = None;
-                    self.bind_slot(idx, nso, now, out);
-                }
-            }
-            NsoOutput::InvocationComplete { call, .. } => {
-                let Some(idx) = self.in_flight.remove(&call.number) else {
-                    self.duplicate_completions += 1;
-                    return;
-                };
-                if let Some((number, at)) = self.slots[idx].outstanding.take() {
-                    debug_assert_eq!(number, call.number);
-                    self.completions.push((now, now - at));
-                }
-                self.issue(idx, nso, now, out);
-            }
-            _ => {}
+        }
+        if matches!(output, NsoOutput::InvocationComplete { .. }) {
+            self.duplicate_completions += 1;
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use newtop::nso::NsoOptions;
+use newtop::nso::{BindOptions, NsoOptions};
 use newtop::simnode::NsoNode;
 use newtop_gcs::group::{FanoutMode, GroupConfig, GroupId, Liveness, OrderProtocol};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
@@ -24,7 +24,7 @@ use newtop::simnode::NsoApp;
 use newtop_dir::app::DirectoryApp;
 use newtop_dir::directory::shared_directory;
 
-use crate::apps::{ClientApp, ClientStyle, HubApp, PeerApp, ServerApp};
+use crate::apps::{ClientApp, HubApp, PeerApp, ServerApp};
 use crate::plain::{PlainClient, PlainServer};
 
 /// The three client/server placements of §5.1.
@@ -173,9 +173,16 @@ pub struct RequestReplyResult {
     pub completed: u64,
     /// Rebinds observed (failure experiments).
     pub rebinds: u32,
+    /// Calls the clients' retry timers sent again (summed
+    /// [`newtop::SmartProxy::retries`]); zero when no request or reply
+    /// was lost.
+    pub retries: u32,
     /// Replies that surfaced twice to a client application — must stay
     /// zero for exactly-once semantics (fault campaigns assert on it).
     pub duplicated: u32,
+    /// Clients whose proxy gave up after every replica failed — must
+    /// stay zero (fault campaigns assert on it).
+    pub gave_up: u32,
     /// Executions a server performed more than once for the same
     /// `(client, call)` pair, counted from the per-server trace rings —
     /// must stay zero (retries are answered from the reply cache).
@@ -286,7 +293,9 @@ fn summarize(completions: &[(SimTime, Duration)], duration: Duration) -> Request
         throughput: completed as f64 / span,
         completed,
         rebinds: 0,
+        retries: 0,
         duplicated: 0,
+        gave_up: 0,
         double_executions: 0,
         last_completion_at: completions
             .iter()
@@ -371,15 +380,14 @@ pub fn run_request_reply_latencies(
     let mut client_ids = Vec::new();
     for i in 0..s.clients {
         let id = NodeId::from_index((s.servers + i) as u32);
-        let style = match s.binding {
-            BindingPolicy::Closed => ClientStyle::Closed,
-            BindingPolicy::OpenAnyServer => ClientStyle::Open { manager_index: i },
-            BindingPolicy::OpenRestricted => ClientStyle::Open { manager_index: 0 },
-            BindingPolicy::Directory => ClientStyle::Directory {
-                directory: dir_ids.clone(),
-                style: ResolveStyle::Closed,
-            },
-        };
+        let opts = match s.binding {
+            BindingPolicy::Closed => BindOptions::closed(server_ids.clone()),
+            BindingPolicy::OpenAnyServer => BindOptions::open(server_ids[i % s.servers]),
+            BindingPolicy::OpenRestricted => BindOptions::open(server_ids[0]),
+            BindingPolicy::Directory => BindOptions::resolve(group.as_str(), dir_ids.clone())
+                .with_resolve_style(ResolveStyle::Closed),
+        }
+        .with_ordering(s.ordering);
         // Stagger the binds so control traffic doesn't burst at t=0
         // (directory clients a little later, giving the first
         // registration time to replicate instead of burning a
@@ -388,14 +396,7 @@ pub fn run_request_reply_latencies(
             BindingPolicy::Directory => Duration::from_millis(10 + i as u64),
             _ => Duration::from_millis(1 + i as u64),
         };
-        let app = ClientApp::new(
-            group.clone(),
-            server_ids.clone(),
-            style,
-            s.mode,
-            s.ordering,
-            bind_delay,
-        );
+        let app = ClientApp::new(group.clone(), server_ids.clone(), opts, s.mode, bind_delay);
         let added = sim.add_node(
             s.placement.client_site(i),
             Box::new(NsoNode::new(id, Box::new(app))),
@@ -416,17 +417,23 @@ pub fn run_request_reply_latencies(
     sim.run_until(SimTime::ZERO + s.duration);
     let mut all = Vec::new();
     let mut rebinds = 0;
+    let mut retries = 0;
     let mut duplicated = 0;
+    let mut gave_up = 0;
     for &id in &client_ids {
         let node = sim.node_ref::<NsoNode>(id).expect("client node");
         let app = node.app_ref::<ClientApp>().expect("client app");
         all.extend(app.completions.iter().copied());
         rebinds += app.rebinds;
+        retries += app.retries();
         duplicated += app.duplicate_completions;
+        gave_up += app.gave_up;
     }
     let mut result = summarize(&all, s.duration);
     result.rebinds = rebinds;
+    result.retries = retries;
     result.duplicated = duplicated;
+    result.gave_up = gave_up;
     result.double_executions = count_double_executions(&sim, &server_ids);
     let mut nodes = server_ids;
     nodes.extend(client_ids);
@@ -677,6 +684,9 @@ pub struct MultiGroupResult {
     pub mean_response: Duration,
     /// Completions that surfaced twice anywhere — must stay zero.
     pub duplicated: u32,
+    /// Hub proxies that gave up after every replica failed — must stay
+    /// zero.
+    pub gave_up: u32,
     /// Batch frames sent across all nodes (`gcs.batch_frames`).
     pub batch_frames: u64,
     /// Protocol messages carried inside batch frames (`gcs.batch_msgs`).
@@ -747,11 +757,13 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
 
     let mut all: Vec<(SimTime, Duration)> = Vec::new();
     let mut duplicated = 0;
+    let mut gave_up = 0;
     for &id in &hub_ids {
         let node = sim.node_ref::<NsoNode>(id).expect("hub node");
         let app = node.app_ref::<HubApp>().expect("hub app");
         all.extend(app.completions.iter().copied());
         duplicated += app.duplicate_completions;
+        gave_up += app.gave_up;
     }
     let (mut batch_frames, mut batch_msgs) = (0, 0);
     for idx in 0..(first_hub + s.hubs) {
@@ -775,6 +787,7 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
             completed: summary.completed,
             mean_response: summary.mean_response,
             duplicated,
+            gave_up,
             batch_frames,
             batch_msgs,
         },
@@ -785,6 +798,7 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newtop::proxy::RETRY_AFTER;
 
     #[test]
     fn placements_map_sites() {
@@ -840,6 +854,35 @@ mod tests {
         };
         let r = run_request_reply(&s);
         assert!(r.completed > 20, "completed {}", r.completed);
+    }
+
+    #[test]
+    fn closed_loop_clients_resend_at_most_one_call_per_retry_interval() {
+        // The simulator bench's `lan_closed_group` run and its
+        // `closed_sim` 8-client point, at the bench's seed.
+        let runs = [
+            RequestReplyScenario {
+                binding: BindingPolicy::Closed,
+                ..RequestReplyScenario::paper_default(Placement::AllLan, 1, 2000)
+            },
+            RequestReplyScenario {
+                binding: BindingPolicy::Directory,
+                ..RequestReplyScenario::paper_default(Placement::AllLan, 8, 2000)
+            },
+        ];
+        for s in runs {
+            let r = run_request_reply(&s);
+            assert!(r.completed > 0);
+            let bound = s.clients as u128 * s.duration.as_nanos() / RETRY_AFTER.as_nanos();
+            assert!(
+                u128::from(r.retries) <= bound,
+                "{} clients, {:?}: {} retries in {:?}, more than {bound}",
+                s.clients,
+                s.binding,
+                r.retries,
+                s.duration
+            );
+        }
     }
 
     #[test]

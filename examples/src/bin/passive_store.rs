@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::nso::{BindOptions, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_gcs::group::{GroupConfig, GroupId};
@@ -81,22 +82,18 @@ impl NsoApp for StoreReplica {
     }
 }
 
+/// Writes through a smart proxy, which rebinds to a backup and retries
+/// the interrupted write when the primary's binding breaks.
 struct StoreClient {
-    servers: Vec<NodeId>,
-    manager_index: usize,
+    proxy: SmartProxy,
     writes: Vec<&'static str>,
     step: usize,
-    binding: Option<GroupHandle>,
-    pending: Option<u64>,
     final_dump: Option<String>,
     log: Vec<String>,
 }
 
 impl StoreClient {
     fn next(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let Some(binding) = self.binding.clone() else {
-            return;
-        };
         let (op, args) = if self.step < self.writes.len() {
             ("put", Bytes::from(self.writes[self.step]))
         } else if self.step == self.writes.len() {
@@ -104,12 +101,7 @@ impl StoreClient {
         } else {
             return;
         };
-        // The binding may race away between a completion and the next
-        // call; the rebind path re-drives us via BindingReady.
-        match binding.invoke(nso, op, args, ReplyMode::First, now, out) {
-            Ok(call) => self.pending = Some(call.number),
-            Err(_) => self.pending = None,
-        }
+        self.proxy.invoke(nso, op, args, ReplyMode::First, now, out);
     }
 }
 
@@ -118,41 +110,21 @@ impl NsoApp for StoreClient {
         out.set_timer(Duration::from_millis(5), tags::APP_BASE);
     }
 
-    fn on_timer(&mut self, nso: &mut Nso, _tag: u64, now: SimTime, out: &mut Outbox) {
-        // Bind to the designated manager (restricted group): the lowest
-        // surviving server.
-        let manager = self.servers[self.manager_index % self.servers.len()];
-        nso.bind(service(), BindOptions::open(manager), now, out)
-            .expect("bind");
+    fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
+        if tag == tags::APP_BASE {
+            self.next(nso, now, out);
+        } else {
+            self.proxy.on_timer(nso, tag, now, out);
+        }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                match self.pending {
-                    // Retry the interrupted write with its original call
-                    // number; the promoted primary deduplicates.
-                    Some(number) => {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                    None => self.next(nso, now, out),
-                }
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Rebound { broken: true }) => {
+                self.log
+                    .push("binding broken: rebinding to a backup".into());
             }
-            NsoOutput::BindFailed { .. } | NsoOutput::BindingBroken { .. } => {
-                if matches!(output, NsoOutput::BindingBroken { .. }) {
-                    self.log
-                        .push("binding broken: rebinding to a backup".into());
-                }
-                self.binding = None;
-                self.manager_index += 1;
-                self.on_timer(nso, tags::APP_BASE, now, out);
-            }
-            NsoOutput::InvocationComplete { replies, .. } => {
-                self.pending = None;
+            Some(ProxyEvent::Complete { replies, .. }) => {
                 if self.step < self.writes.len() {
                     self.log.push(format!(
                         "put {:<12} -> {}",
@@ -190,12 +162,16 @@ fn main() {
         Box::new(NsoNode::new(
             client_id,
             Box::new(StoreClient {
-                servers: servers.clone(),
-                manager_index: 0,
+                // Bind to the designated manager (restricted group): the
+                // lowest surviving server; a rebind moves to the next.
+                proxy: SmartProxy::new(
+                    service(),
+                    servers.clone(),
+                    BindOptions::open(servers[0]),
+                    tags::APP_BASE + 1,
+                ),
                 writes: vec!["a=1", "b=2", "c=3", "d=4", "e=5", "f=6"],
                 step: 0,
-                binding: None,
-                pending: None,
                 final_dump: None,
                 log: Vec::new(),
             }),

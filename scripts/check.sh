@@ -77,6 +77,22 @@ if ! diff -u BENCH_SIM.json target/bench_sim.json; then
     exit 1
 fi
 
+echo "==> paper figures (the figure bench targets reproduce BENCH_FIGURES.txt byte for byte)"
+# Every table and graph of the paper's §5, at seed 2000. The micro and
+# fanout_encode benches measure wall clock and stay out.
+for bench in table1_plain_corba graphs_1_4_nonreplicated graphs_5_10_optimised \
+    graphs_11_16_closed_open graphs_17_18_peer ablations; do
+    echo "## $bench"
+    env -u NEWTOP_BENCH_SEED cargo bench --offline -q -p newtop-bench --bench "$bench"
+done > target/bench_figures.txt
+if ! diff -u BENCH_FIGURES.txt target/bench_figures.txt; then
+    echo "ERROR: the paper figures differ from the committed BENCH_FIGURES.txt (diff above)." >&2
+    echo "If the change is intended, regenerate the baseline with" >&2
+    echo "  cp target/bench_figures.txt BENCH_FIGURES.txt" >&2
+    echo "and say in CHANGES.md why the numbers moved." >&2
+    exit 1
+fi
+
 echo "==> example programs (each asserts its own outcome and exits non-zero when its run goes wrong)"
 cargo build --release --offline -p newtop-examples
 for example in quickstart replicated_bank passive_store conference group_to_group; do

@@ -7,7 +7,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::nso::{BindOptions, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_gcs::group::{GroupConfig, GroupId, OrderProtocol};
@@ -56,102 +57,52 @@ impl NsoApp for Server {
     fn on_output(&mut self, _: &mut Nso, _: NsoOutput, _: SimTime, _: &mut Outbox) {}
 }
 
+/// A closed-loop client whose smart proxy rebinds and retries.
 struct Client {
-    servers: Vec<NodeId>,
+    proxy: SmartProxy,
     mode: ReplyMode,
-    manager_index: usize,
     total: usize,
     issued: usize,
     completed: Vec<u64>,
-    outstanding: std::collections::HashMap<u64, SimTime>,
-    binding: Option<GroupHandle>,
+    /// Completions the proxy did not claim: a call completed twice.
+    duplicates: u32,
 }
 
 const BIND_TAG: u64 = tags::APP_BASE;
-const TICK_TAG: u64 = tags::APP_BASE + 1;
+const PROXY_TAG: u64 = tags::APP_BASE + 1;
 
 impl Client {
-    fn bind(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let manager = self.servers[self.manager_index % self.servers.len()];
-        let _ = nso.bind(
-            gid(),
-            BindOptions::open(manager).with_time_silence(Duration::from_millis(20)),
-            now,
-            out,
-        );
-    }
-
     fn issue(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        if self.issued >= self.total {
+        if self.issued >= self.total || self.proxy.pending() > 0 {
             return;
         }
-        let Some(binding) = self.binding.clone() else {
-            return;
-        };
-        if let Ok(call) = binding.invoke(
-            nso,
-            "work",
-            Bytes::from(vec![(self.issued % 251) as u8]),
-            self.mode,
-            now,
-            out,
-        ) {
-            self.issued += 1;
-            self.outstanding.insert(call.number, now);
-        }
+        let args = Bytes::from(vec![(self.issued % 251) as u8]);
+        self.proxy.invoke(nso, "work", args, self.mode, now, out);
+        self.issued += 1;
     }
 }
 
 impl NsoApp for Client {
     fn on_start(&mut self, _nso: &mut Nso, _now: SimTime, out: &mut Outbox) {
         out.set_timer(Duration::from_millis(5), BIND_TAG);
-        out.set_timer(Duration::from_millis(250), TICK_TAG);
     }
 
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
-        match tag {
-            BIND_TAG => self.bind(nso, now, out),
-            _ => {
-                if let Some(binding) = self.binding.clone() {
-                    let stalled: Vec<u64> = self
-                        .outstanding
-                        .iter()
-                        .filter(|(_, &at)| now.saturating_since(at) > Duration::from_millis(200))
-                        .map(|(&n, _)| n)
-                        .collect();
-                    for number in stalled {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                }
-                out.set_timer(Duration::from_millis(250), TICK_TAG);
-            }
+        if tag == BIND_TAG {
+            self.issue(nso, now, out);
+        } else {
+            self.proxy.on_timer(nso, tag, now, out);
         }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                let pending: Vec<u64> = self.outstanding.keys().copied().collect();
-                if pending.is_empty() {
-                    self.issue(nso, now, out);
-                }
-                for number in pending {
-                    let _ = binding.retry(nso, number, now, out);
-                }
-            }
-            NsoOutput::BindFailed { .. } | NsoOutput::BindingBroken { .. } => {
-                self.binding = None;
-                self.manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::InvocationComplete { call, .. } => {
-                self.outstanding.remove(&call.number);
-                self.completed.push(call.number);
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Complete { number, .. }) => {
+                self.completed.push(number);
                 self.issue(nso, now, out);
+            }
+            None if matches!(output, NsoOutput::InvocationComplete { .. }) => {
+                self.duplicates += 1;
             }
             _ => {}
         }
@@ -165,7 +116,7 @@ fn run_churn(
     replication: Replication,
     optimisation: OpenOptimisation,
     seed: u64,
-) -> (Vec<u64>, usize) {
+) -> (Vec<u64>, u32, usize) {
     let total = 60;
     let mut sim = Sim::new(SimConfig::lan(seed));
     let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
@@ -188,14 +139,17 @@ fn run_churn(
         Box::new(NsoNode::new(
             client,
             Box::new(Client {
-                servers: servers.clone(),
+                proxy: SmartProxy::new(
+                    gid(),
+                    servers.clone(),
+                    BindOptions::open(servers[0]).with_time_silence(Duration::from_millis(20)),
+                    PROXY_TAG,
+                ),
                 mode,
-                manager_index: 0,
                 total,
                 issued: 0,
                 completed: Vec::new(),
-                outstanding: std::collections::HashMap::new(),
-                binding: None,
+                duplicates: 0,
             }),
         )),
     );
@@ -208,7 +162,7 @@ fn run_churn(
         .unwrap();
     let mut done = app.completed.clone();
     done.sort_unstable();
-    (done, total)
+    (done, app.duplicates, total)
 }
 
 proptest! {
@@ -228,7 +182,7 @@ proptest! {
             1 => ReplyMode::Majority,
             _ => ReplyMode::All,
         };
-        let (done, total) = run_churn(
+        let (done, duplicates, total) = run_churn(
             crash_ms,
             crash_which,
             mode,
@@ -237,6 +191,7 @@ proptest! {
             seed,
         );
         prop_assert_eq!(done, (1..=total as u64).collect::<Vec<_>>());
+        prop_assert_eq!(duplicates, 0);
     }
 
     /// The same property for the passive-replication configuration
@@ -246,7 +201,7 @@ proptest! {
         crash_ms in 5u64..200,
         seed in 0u64..1000,
     ) {
-        let (done, total) = run_churn(
+        let (done, duplicates, total) = run_churn(
             crash_ms,
             0, // the designated primary
             ReplyMode::First,
@@ -255,5 +210,6 @@ proptest! {
             seed,
         );
         prop_assert_eq!(done, (1..=total as u64).collect::<Vec<_>>());
+        prop_assert_eq!(duplicates, 0);
     }
 }

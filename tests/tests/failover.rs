@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::nso::{BindOptions, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_gcs::group::{GroupConfig, GroupId, OrderProtocol};
@@ -63,133 +64,75 @@ impl NsoApp for CountingServer {
     fn on_output(&mut self, _: &mut Nso, _: NsoOutput, _: SimTime, _: &mut Outbox) {}
 }
 
-/// A client that keeps a numbered call stream going, rebinding on broken
-/// bindings (the smart-proxy behaviour of §4.1).
+/// A client that keeps a numbered call stream going through the smart
+/// proxy, which rebinds on broken bindings (§4.1).
 struct RetryClient {
-    servers: Vec<NodeId>,
+    proxy: SmartProxy,
     mode: ReplyMode,
-    open: bool,
-    manager_index: usize,
     total_calls: usize,
     issued: usize,
     completions: Vec<(u64, Vec<(NodeId, Bytes)>)>,
     rebinds: u32,
-    binding: Option<GroupHandle>,
-    issued_at: std::collections::HashMap<u64, SimTime>,
+    /// Completions the proxy did not claim: a call completed twice.
+    duplicates: u32,
 }
 
 impl RetryClient {
     fn new(servers: Vec<NodeId>, mode: ReplyMode, open: bool, total_calls: usize) -> Self {
+        let opts = if open {
+            BindOptions::open(servers[0])
+        } else {
+            BindOptions::closed(servers.clone())
+        }
+        .with_time_silence(Duration::from_millis(20));
         RetryClient {
-            servers,
+            proxy: SmartProxy::new(gid(), servers, opts, PROXY_TAG),
             mode,
-            open,
-            manager_index: 0,
             total_calls,
             issued: 0,
             completions: Vec::new(),
             rebinds: 0,
-            binding: None,
-            issued_at: std::collections::HashMap::new(),
+            duplicates: 0,
         }
-    }
-
-    fn bind(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let opts = if self.open {
-            let manager = self.servers[self.manager_index % self.servers.len()];
-            BindOptions::open(manager)
-        } else {
-            BindOptions::closed(self.servers.clone())
-        }
-        .with_time_silence(Duration::from_millis(20));
-        nso.bind(gid(), opts, now, out).expect("bind");
     }
 
     fn issue(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        if self.issued >= self.total_calls {
+        if self.issued >= self.total_calls || self.proxy.pending() > 0 {
             return;
         }
-        let Some(binding) = self.binding.clone() else {
-            return;
-        };
-        if let Ok(call) = binding.invoke(
-            nso,
-            "work",
-            Bytes::from(vec![self.issued as u8]),
-            self.mode,
-            now,
-            out,
-        ) {
-            self.issued += 1;
-            self.issued_at.insert(call.number, now);
-        }
+        let args = Bytes::from(vec![self.issued as u8]);
+        self.proxy.invoke(nso, "work", args, self.mode, now, out);
+        self.issued += 1;
     }
 }
 
 const BIND_TAG: u64 = tags::APP_BASE;
-const RETRY_TAG: u64 = tags::APP_BASE + 1;
+const PROXY_TAG: u64 = tags::APP_BASE + 1;
 
 impl NsoApp for RetryClient {
     fn on_start(&mut self, _nso: &mut Nso, _now: SimTime, out: &mut Outbox) {
         out.set_timer(Duration::from_millis(5), BIND_TAG);
-        out.set_timer(Duration::from_millis(200), RETRY_TAG);
     }
 
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
-        match tag {
-            BIND_TAG => self.bind(nso, now, out),
-            _ => {
-                // §4.1: client retries are standard app-level technique —
-                // re-issue calls that have stalled (e.g. lost in a view
-                // change window); servers deduplicate by call number.
-                if let Some(binding) = self.binding.clone() {
-                    let stalled: Vec<u64> = self
-                        .issued_at
-                        .iter()
-                        .filter(|(_, &at)| now.saturating_since(at) > Duration::from_millis(150))
-                        .map(|(&n, _)| n)
-                        .collect();
-                    for number in stalled {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                }
-                out.set_timer(Duration::from_millis(200), RETRY_TAG);
-            }
+        if tag == BIND_TAG {
+            self.issue(nso, now, out);
+        } else {
+            self.proxy.on_timer(nso, tag, now, out);
         }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                // Retry anything outstanding with its original call number
-                // (§4.1); only start fresh traffic when nothing is pending.
-                let pending: Vec<u64> = self.issued_at.keys().copied().collect();
-                if pending.is_empty() {
-                    self.issue(nso, now, out);
-                } else {
-                    for number in pending {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                }
-            }
-            NsoOutput::BindFailed { .. } => {
-                self.manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::BindingBroken { .. } => {
-                self.rebinds += 1;
-                self.binding = None;
-                self.manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::InvocationComplete { call, replies } => {
-                self.issued_at.remove(&call.number);
-                self.completions.push((call.number, replies));
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Complete {
+                number, replies, ..
+            }) => {
+                self.completions.push((number, replies));
                 self.issue(nso, now, out);
+            }
+            Some(ProxyEvent::Rebound { broken: true }) => self.rebinds += 1,
+            None if matches!(output, NsoOutput::InvocationComplete { .. }) => {
+                self.duplicates += 1;
             }
             _ => {}
         }
@@ -249,7 +192,7 @@ fn build(
     }
 }
 
-fn client_state(sim: &Sim, client: NodeId) -> (Vec<u64>, u32) {
+fn client_state(sim: &Sim, client: NodeId) -> (Vec<u64>, u32, u32) {
     let app = sim
         .node_ref::<NsoNode>(client)
         .unwrap()
@@ -257,7 +200,7 @@ fn client_state(sim: &Sim, client: NodeId) -> (Vec<u64>, u32) {
         .unwrap();
     let mut numbers: Vec<u64> = app.completions.iter().map(|(n, _)| *n).collect();
     numbers.sort_unstable();
-    (numbers, app.rebinds)
+    (numbers, app.rebinds, app.duplicates)
 }
 
 #[test]
@@ -276,13 +219,14 @@ fn manager_crash_rebinds_and_retries_without_reexecution() {
     c.sim.schedule_crash(SimTime::from_millis(50), c.servers[0]);
     c.sim.run_until(SimTime::from_secs(20));
 
-    let (numbers, rebinds) = client_state(&c.sim, c.client);
+    let (numbers, rebinds, duplicates) = client_state(&c.sim, c.client);
     assert!(rebinds >= 1, "the broken binding must be detected");
     assert_eq!(
         numbers,
         (1..=total as u64).collect::<Vec<_>>(),
         "every call completes exactly once, including the ones caught by the crash"
     );
+    assert_eq!(duplicates, 0, "no call completes twice");
     // The survivors never executed any call twice: at most one execution
     // per call each (some early ones may also have run on the crashed
     // manager before it died).
@@ -308,9 +252,10 @@ fn closed_group_masks_a_server_crash_without_rebinding() {
     );
     c.sim.schedule_crash(SimTime::from_millis(50), c.servers[2]);
     c.sim.run_until(SimTime::from_secs(20));
-    let (numbers, rebinds) = client_state(&c.sim, c.client);
+    let (numbers, rebinds, duplicates) = client_state(&c.sim, c.client);
     assert_eq!(rebinds, 0, "closed groups mask failures without rebinding");
     assert_eq!(numbers, (1..=total as u64).collect::<Vec<_>>());
+    assert_eq!(duplicates, 0, "no call completes twice");
 }
 
 #[test]
@@ -328,9 +273,10 @@ fn passive_primary_crash_promotes_a_backup() {
     // The designated manager/primary is servers[0]; crash it.
     c.sim.schedule_crash(SimTime::from_millis(40), c.servers[0]);
     c.sim.run_until(SimTime::from_secs(20));
-    let (numbers, rebinds) = client_state(&c.sim, c.client);
+    let (numbers, rebinds, duplicates) = client_state(&c.sim, c.client);
     assert!(rebinds >= 1);
     assert_eq!(numbers, (1..=total as u64).collect::<Vec<_>>());
+    assert_eq!(duplicates, 0, "no call completes twice");
     // The promoted backup replayed the backlog: its execution count covers
     // the pre-crash calls it had only logged.
     let ex1 = c.executions[1].load(AtomicOrdering::SeqCst);
@@ -351,8 +297,9 @@ fn wait_for_first_and_majority_complete_under_load() {
             seed,
         );
         c.sim.run_until(SimTime::from_secs(10));
-        let (numbers, _) = client_state(&c.sim, c.client);
+        let (numbers, _, duplicates) = client_state(&c.sim, c.client);
         assert_eq!(numbers, (1..=total as u64).collect::<Vec<_>>(), "{mode:?}");
+        assert_eq!(duplicates, 0, "{mode:?}: no call completes twice");
     }
 }
 
@@ -413,13 +360,14 @@ fn contact_server_crash_retry_served_from_reply_cache() {
     c.sim.schedule_crash(SimTime::from_millis(60), c.servers[0]);
     c.sim.run_until(SimTime::from_secs(20));
 
-    let (numbers, rebinds) = client_state(&c.sim, c.client);
+    let (numbers, rebinds, duplicates) = client_state(&c.sim, c.client);
     assert!(rebinds >= 1, "crash must break the binding (seed={seed})");
     assert_eq!(
         numbers,
         (1..=total as u64).collect::<Vec<_>>(),
         "exactly-once completion across the rebind (seed={seed})"
     );
+    assert_eq!(duplicates, 0, "no call completes twice (seed={seed})");
 
     let mut deduped = 0u32;
     for &s in &c.servers[1..] {

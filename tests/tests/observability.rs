@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::nso::{BindOptions, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_gcs::group::{GroupConfig, GroupId, OrderProtocol};
@@ -57,107 +58,52 @@ impl NsoApp for CountingServer {
     fn on_output(&mut self, _: &mut Nso, _: NsoOutput, _: SimTime, _: &mut Outbox) {}
 }
 
-/// The §4.1 smart-client behaviour: numbered call stream, rebind on
-/// broken bindings, stalled-call retries with original numbers.
+/// The §4.1 smart-client behaviour through the smart proxy: numbered
+/// call stream, rebind on broken bindings, stalled-call retries with
+/// original numbers.
 struct RetryClient {
-    servers: Vec<NodeId>,
-    manager_index: usize,
+    proxy: SmartProxy,
     total_calls: usize,
     issued: usize,
     completions: Vec<u64>,
     rebinds: u32,
-    binding: Option<GroupHandle>,
-    issued_at: std::collections::HashMap<u64, SimTime>,
 }
 
 const BIND_TAG: u64 = tags::APP_BASE;
-const RETRY_TAG: u64 = tags::APP_BASE + 1;
+const PROXY_TAG: u64 = tags::APP_BASE + 1;
 
 impl RetryClient {
-    fn bind(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let manager = self.servers[self.manager_index % self.servers.len()];
-        let opts = BindOptions::open(manager).with_time_silence(Duration::from_millis(20));
-        nso.bind(gid(), opts, now, out).expect("bind");
-    }
-
     fn issue(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        if self.issued >= self.total_calls {
+        if self.issued >= self.total_calls || self.proxy.pending() > 0 {
             return;
         }
-        let Some(binding) = self.binding.clone() else {
-            return;
-        };
-        if let Ok(call) = binding.invoke(
-            nso,
-            "work",
-            Bytes::from(vec![self.issued as u8]),
-            ReplyMode::All,
-            now,
-            out,
-        ) {
-            self.issued += 1;
-            self.issued_at.insert(call.number, now);
-        }
+        let args = Bytes::from(vec![self.issued as u8]);
+        self.proxy
+            .invoke(nso, "work", args, ReplyMode::All, now, out);
+        self.issued += 1;
     }
 }
 
 impl NsoApp for RetryClient {
     fn on_start(&mut self, _nso: &mut Nso, _now: SimTime, out: &mut Outbox) {
         out.set_timer(Duration::from_millis(5), BIND_TAG);
-        out.set_timer(Duration::from_millis(200), RETRY_TAG);
     }
 
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
-        match tag {
-            BIND_TAG => self.bind(nso, now, out),
-            _ => {
-                if let Some(binding) = self.binding.clone() {
-                    let stalled: Vec<u64> = self
-                        .issued_at
-                        .iter()
-                        .filter(|(_, &at)| now.saturating_since(at) > Duration::from_millis(150))
-                        .map(|(&n, _)| n)
-                        .collect();
-                    for number in stalled {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                }
-                out.set_timer(Duration::from_millis(200), RETRY_TAG);
-            }
+        if tag == BIND_TAG {
+            self.issue(nso, now, out);
+        } else {
+            self.proxy.on_timer(nso, tag, now, out);
         }
     }
 
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                let pending: Vec<u64> = self.issued_at.keys().copied().collect();
-                if pending.is_empty() {
-                    self.issue(nso, now, out);
-                } else {
-                    for number in pending {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                }
-            }
-            NsoOutput::BindFailed { .. } => {
-                self.manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::BindingBroken { .. } => {
-                self.rebinds += 1;
-                self.binding = None;
-                self.manager_index += 1;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::InvocationComplete { call, .. } => {
-                self.issued_at.remove(&call.number);
-                self.completions.push(call.number);
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Complete { number, .. }) => {
+                self.completions.push(number);
                 self.issue(nso, now, out);
             }
+            Some(ProxyEvent::Rebound { broken: true }) => self.rebinds += 1,
             _ => {}
         }
     }
@@ -189,14 +135,16 @@ fn crash_rebind_metrics_and_trace_invariants() {
         Box::new(NsoNode::new(
             client,
             Box::new(RetryClient {
-                servers: servers.clone(),
-                manager_index: 0,
+                proxy: SmartProxy::new(
+                    gid(),
+                    servers.clone(),
+                    BindOptions::open(servers[0]).with_time_silence(Duration::from_millis(20)),
+                    PROXY_TAG,
+                ),
                 total_calls: total,
                 issued: 0,
                 completions: Vec::new(),
                 rebinds: 0,
-                binding: None,
-                issued_at: std::collections::HashMap::new(),
             }),
         )),
     );

@@ -6,7 +6,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput};
+use newtop::nso::{BindOptions, Nso, NsoOutput};
+use newtop::proxy::{ProxyEvent, SmartProxy};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop::tags;
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
@@ -47,79 +48,39 @@ impl NsoApp for Server {
     fn on_output(&mut self, _: &mut Nso, _: NsoOutput, _: SimTime, _: &mut Outbox) {}
 }
 
+/// An unbounded closed-loop client whose smart proxy rebinds and
+/// retries.
 struct Client {
-    servers: Vec<NodeId>,
-    manager_index: usize,
+    proxy: SmartProxy,
     completed: u32,
     rebinds: u32,
-    binding: Option<GroupHandle>,
-    outstanding: Option<u64>,
 }
 
 impl Client {
-    fn bind(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        let manager = self.servers[self.manager_index % self.servers.len()];
-        let _ = nso.bind(
-            gid(),
-            BindOptions::open(manager).with_time_silence(Duration::from_millis(20)),
-            now,
-            out,
-        );
-    }
     fn issue(&mut self, nso: &mut Nso, now: SimTime, out: &mut Outbox) {
-        if let Some(b) = self.binding.clone() {
-            if let Ok(call) = b.invoke(nso, "ping", Bytes::new(), ReplyMode::First, now, out) {
-                self.outstanding = Some(call.number);
-            }
-        }
+        self.proxy
+            .invoke(nso, "ping", Bytes::new(), ReplyMode::First, now, out);
     }
 }
 
 impl NsoApp for Client {
     fn on_start(&mut self, _nso: &mut Nso, _now: SimTime, out: &mut Outbox) {
         out.set_timer(Duration::from_millis(5), tags::APP_BASE);
-        out.set_timer(Duration::from_millis(200), tags::APP_BASE + 1);
     }
     fn on_timer(&mut self, nso: &mut Nso, tag: u64, now: SimTime, out: &mut Outbox) {
         if tag == tags::APP_BASE {
-            self.bind(nso, now, out);
+            self.issue(nso, now, out);
         } else {
-            if let (Some(b), Some(number)) = (self.binding.clone(), self.outstanding) {
-                let _ = b.retry(nso, number, now, out);
-            }
-            out.set_timer(Duration::from_millis(200), tags::APP_BASE + 1);
+            self.proxy.on_timer(nso, tag, now, out);
         }
     }
     fn on_output(&mut self, nso: &mut Nso, output: NsoOutput, now: SimTime, out: &mut Outbox) {
-        match output {
-            NsoOutput::BindingReady { group } => {
-                let Some(binding) = nso.handle_for(&group) else {
-                    return;
-                };
-                self.binding = Some(binding.clone());
-                match self.outstanding {
-                    Some(number) => {
-                        let _ = binding.retry(nso, number, now, out);
-                    }
-                    None => self.issue(nso, now, out),
-                }
-            }
-            NsoOutput::BindFailed { .. } => {
-                self.manager_index += 1;
-                self.binding = None;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::BindingBroken { .. } => {
-                self.rebinds += 1;
-                self.manager_index += 1;
-                self.binding = None;
-                self.bind(nso, now, out);
-            }
-            NsoOutput::InvocationComplete { .. } => {
-                self.outstanding = None;
+        match self.proxy.on_output(nso, &output, now, out) {
+            Some(ProxyEvent::Complete { .. }) => {
                 self.completed += 1;
                 self.issue(nso, now, out);
             }
+            Some(ProxyEvent::Rebound { broken: true }) => self.rebinds += 1,
             _ => {}
         }
     }
@@ -146,12 +107,14 @@ fn client_side_of_a_partition_keeps_working() {
         Box::new(NsoNode::new(
             client,
             Box::new(Client {
-                servers: servers.clone(),
-                manager_index: 0,
+                proxy: SmartProxy::new(
+                    gid(),
+                    servers.clone(),
+                    BindOptions::open(servers[0]).with_time_silence(Duration::from_millis(20)),
+                    tags::APP_BASE + 1,
+                ),
                 completed: 0,
                 rebinds: 0,
-                binding: None,
-                outstanding: None,
             }),
         )),
     );
