@@ -9,8 +9,7 @@
 //!   sweep (clients bind through the replicated directory) and its knee,
 //!   the highest throughput across the sweep;
 //! * `multi_group_sim` — aggregate closed-loop throughput over
-//!   independent services from hub clients bound to all of them, with
-//!   send-path batching;
+//!   independent services from hub clients bound to all of them;
 //! * `open_sim_1x`, `open_sim_2x` — a fixed-rate multicast storm against
 //!   a 4-member peer group with every node's CPU costs inflated (the
 //!   fault DSL's `saturate`), at the base rate and at twice it;
@@ -132,25 +131,11 @@ fn multi_group_sim(seed: u64) -> String {
         result.duplicated
     );
     assert_eq!(result.gave_up, 0, "a multi-group hub proxy gave up");
-    assert!(
-        result.batch_frames > 0,
-        "batching was on but no batch frames were sent"
-    );
     let mut fields = vec![
         ("groups", scenario.groups.to_string()),
         ("hubs", scenario.hubs.to_string()),
-        ("batching", "true".to_owned()),
         ("throughput_per_sec", format!("{:.1}", result.throughput)),
         ("completed", result.completed.to_string()),
-        ("batch_frames", result.batch_frames.to_string()),
-        ("batch_msgs", result.batch_msgs.to_string()),
-        (
-            "msgs_per_frame",
-            format!(
-                "{:.2}",
-                result.batch_msgs as f64 / result.batch_frames.max(1) as f64
-            ),
-        ),
     ];
     fields.extend(quantile_fields(latencies));
     json_object(fields)

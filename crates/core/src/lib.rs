@@ -100,9 +100,7 @@ pub mod nso;
 pub mod proxy;
 pub mod simnode;
 
-pub use nso::{
-    BindOptions, BindTarget, GroupHandle, GroupServant, NewtopError, Nso, NsoOptions, NsoOutput,
-};
+pub use nso::{BindOptions, BindTarget, GroupHandle, GroupServant, NewtopError, Nso, NsoOutput};
 pub use proxy::{ProxyEvent, SmartProxy, RETRY_AFTER};
 
 /// The ORB operation carrying binding-control requests between NSOs.

@@ -20,7 +20,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use newtop_gcs::group::{DeliveryOrder, FanoutMode, GroupConfig, GroupId, Liveness, OrderProtocol};
-use newtop_gcs::member::{GcsError, GcsMember, GcsNet, GcsOutput, SendBuffer};
+use newtop_gcs::member::{GcsError, GcsMember, GcsNet, GcsOutput};
 use newtop_gcs::messages::GcsMessage;
 use newtop_gcs::view::View;
 use newtop_gcs::{GCS_OPERATION, NSO_OBJECT_KEY};
@@ -287,14 +287,14 @@ pub enum ResolveStyle {
 }
 
 /// Options for creating a binding with [`Nso::bind`]: the target (open /
-/// closed / restricted style), ordering and liveness parameters of the
-/// client/server group, and invocation defaults. Build with one of the
-/// constructors, then chain `with_*` methods:
+/// closed / restricted style) and the ordering and liveness parameters
+/// of the client/server group. Build with one of the constructors, then
+/// chain `with_*` methods:
 ///
 /// ```ignore
 /// let opts = BindOptions::restricted(servers)
-///     .with_reply_mode(ReplyMode::First)
-///     .with_async_forwarding(true);
+///     .with_fanout(FanoutMode::Asynchronous)
+///     .with_timeout(Duration::from_millis(500));
 /// let binding = nso.bind(server_group, opts, now, &mut out)?;
 /// ```
 #[derive(Clone, Debug)]
@@ -307,23 +307,12 @@ pub struct BindOptions {
     pub time_silence: Duration,
     /// Fan-out mode of the client/server group. [`FanoutMode::Synchronous`]
     /// chains per-member round trips (§2.2); [`FanoutMode::Asynchronous`]
-    /// issues sends back-to-back, which also lets a batching-enabled node
-    /// pack them into one frame per destination.
+    /// issues sends back-to-back (§5.2).
     pub fanout: FanoutMode,
     /// How long to wait for the servers' acknowledgements.
     pub timeout: Duration,
     /// Explicit group id; autogenerated when `None`.
     pub group_id: Option<GroupId>,
-    /// Default reply mode for calls issued over this binding with
-    /// [`Nso::invoke_default`].
-    pub default_mode: ReplyMode,
-    /// The client expects the §4.2 asynchronous-forwarding optimisation:
-    /// wait-for-first calls are answered by the manager before the group
-    /// round completes. Takes effect only when the server group was
-    /// created with [`OpenOptimisation::AsyncForwarding`]; setting it
-    /// here documents the intent and pairs naturally with
-    /// [`ReplyMode::First`] as the default mode.
-    pub async_forwarding: bool,
 }
 
 impl Default for BindOptions {
@@ -339,8 +328,6 @@ impl Default for BindOptions {
             fanout: FanoutMode::Synchronous,
             timeout: Duration::from_secs(2),
             group_id: None,
-            default_mode: ReplyMode::All,
-            async_forwarding: false,
         }
     }
 }
@@ -412,9 +399,7 @@ impl BindOptions {
         self
     }
 
-    /// Sets the fan-out mode of the client/server group. Asynchronous
-    /// fan-outs are a prerequisite for send-path batching: only
-    /// back-to-back sends can share a frame.
+    /// Sets the fan-out mode of the client/server group.
     #[must_use]
     pub fn with_fanout(mut self, fanout: FanoutMode) -> Self {
         self.fanout = fanout;
@@ -434,20 +419,6 @@ impl BindOptions {
         self.group_id = Some(group);
         self
     }
-
-    /// Sets the default reply mode used by [`Nso::invoke_default`].
-    #[must_use]
-    pub fn with_reply_mode(mut self, mode: ReplyMode) -> Self {
-        self.default_mode = mode;
-        self
-    }
-
-    /// Declares the binding expects asynchronous forwarding (§4.2).
-    #[must_use]
-    pub fn with_async_forwarding(mut self, on: bool) -> Self {
-        self.async_forwarding = on;
-        self
-    }
 }
 
 /// What kind of group a [`GroupHandle`] refers to — which operations it
@@ -462,9 +433,9 @@ enum HandleKind {
 
 /// A handle to a group this NSO participates in, returned by
 /// [`Nso::bind`], [`Nso::create_peer_group`] and
-/// [`Nso::join_peer_group`]. The handle carries the group id plus the
-/// binding's invocation defaults, so call-side operations hang off it
-/// instead of re-threading raw [`GroupId`]s through every call:
+/// [`Nso::join_peer_group`]. The handle carries the group id and its
+/// kind, so call-side operations hang off it instead of re-threading raw
+/// [`GroupId`]s through every call:
 ///
 /// ```ignore
 /// let binding = nso.bind(server_group, opts, now, &mut out)?;
@@ -482,7 +453,6 @@ enum HandleKind {
 pub struct GroupHandle {
     group: GroupId,
     kind: HandleKind,
-    default_mode: ReplyMode,
 }
 
 impl GroupHandle {
@@ -500,13 +470,6 @@ impl GroupHandle {
         } else {
             Err(NewtopError::Unbound(self.group.clone()))
         }
-    }
-
-    /// The default reply mode of invocations issued with
-    /// [`GroupHandle::invoke_default`] (fixed at bind time).
-    #[must_use]
-    pub fn default_mode(&self) -> ReplyMode {
-        self.default_mode
     }
 
     /// Invokes an operation over this binding with the given reply mode.
@@ -527,24 +490,6 @@ impl GroupHandle {
     ) -> Result<CallId, NewtopError> {
         self.expect_kind(HandleKind::Binding)?;
         nso.do_invoke(&self.group, op, args, mode, now, out)
-    }
-
-    /// Invokes with the handle's default reply mode (set at bind time via
-    /// [`BindOptions::with_reply_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NewtopError::Client`] if the binding is unknown.
-    pub fn invoke_default(
-        &self,
-        nso: &mut Nso,
-        op: &str,
-        args: Bytes,
-        now: SimTime,
-        out: &mut Outbox,
-    ) -> Result<CallId, NewtopError> {
-        self.expect_kind(HandleKind::Binding)?;
-        nso.do_invoke(&self.group, op, args, self.default_mode, now, out)
     }
 
     /// Re-issues a pending call over this (new) binding with its original
@@ -665,54 +610,11 @@ struct ResolveProgress {
     waiters: Vec<PendingResolve>,
 }
 
-/// Reserved tag of the send-path batch-flush micro-timer (the first tag
-/// of the NSO's range; [`Nso::alloc_tag`] starts above it).
-const BATCH_FLUSH_TAG: u64 = tags::NSO_BASE;
-
-/// How long staged sends may wait for company. Messages staged within
-/// one window share a frame per destination, so this bounds both the
-/// added latency and the coalescing opportunity. Matches the order-record
-/// aggregation cadence of the GCS sequencer. A threaded host flushes
-/// earlier, whenever it runs out of work ([`Nso::on_idle`]); this delay
-/// is the upper bound.
-const BATCH_FLUSH_DELAY: Duration = Duration::from_micros(300);
-
-/// Construction options for an [`Nso`]: whether the send path batches
-/// small protocol messages into one GIOP frame per destination per
-/// flush window. Batching defaults off, the simulator's deterministic
-/// baseline; the threaded runtime turns it on.
-#[derive(Clone, Debug, Default)]
-pub struct NsoOptions {
-    batching: bool,
-}
-
-impl NsoOptions {
-    /// Batching off.
-    #[must_use]
-    pub fn new() -> Self {
-        NsoOptions::default()
-    }
-
-    /// Enables per-destination batching of small protocol messages.
-    #[must_use]
-    pub fn with_batching(mut self, on: bool) -> Self {
-        self.batching = on;
-        self
-    }
-
-    /// Whether send-path batching is enabled.
-    #[must_use]
-    pub fn batching(&self) -> bool {
-        self.batching
-    }
-}
-
 /// The NewTop service object. See the [module docs](self).
 pub struct Nso {
     node: NodeId,
     orb: OrbCore,
     gcs: GcsMember,
-    batching: bool,
     client: ClientCore,
     servers: BTreeMap<GroupId, ServerCore>,
     servants: BTreeMap<GroupId, Box<dyn GroupServant>>,
@@ -738,12 +640,6 @@ pub struct Nso {
     /// Invocation-layer metrics and trace (the GCS member keeps its own;
     /// [`Nso::metrics`] / [`Nso::trace`] merge the two).
     obs: Observability,
-    /// Staged batchable sends, persisted across handler events so the
-    /// flush window spans them (see [`SendBuffer`]). Flushed by the
-    /// [`BATCH_FLUSH_TAG`] micro-timer or, earlier, by [`Nso::on_idle`].
-    send_buf: SendBuffer,
-    /// Per-binding default reply mode (from [`BindOptions`]).
-    default_modes: BTreeMap<GroupId, ReplyMode>,
     /// Issue time of outstanding calls, for the end-to-end invocation
     /// latency histogram.
     call_issued: BTreeMap<u64, SimTime>,
@@ -758,23 +654,17 @@ impl fmt::Debug for Nso {
     }
 }
 
-/// Runs `f` with a fresh [`GcsNet`] staging into the node's persistent
-/// [`SendBuffer`], then folds the context's counters into the metric
-/// registry. Staged sends are NOT flushed here: they wait (at most
-/// [`BATCH_FLUSH_DELAY`]) for the batch-flush micro-timer, so messages
-/// from several handler events can share a frame per destination. The
-/// epilogue arms that timer whenever the buffer is non-empty and no
-/// timer is already in flight. Takes field-precise borrows (rather than
-/// `&mut Nso`) so the closure can still use `self.gcs`.
+/// Runs `f` with a fresh [`GcsNet`] over the node's ORB and the event's
+/// outbox, then folds the context's counters into the metric registry.
+/// Takes field-precise borrows (rather than `&mut Nso`) so the closure can
+/// still use `self.gcs`.
 fn with_net<R>(
     orb: &mut OrbCore,
     obs: &mut Observability,
     out: &mut Outbox,
-    batching: bool,
-    buf: &mut SendBuffer,
     f: impl FnOnce(&mut GcsNet<'_>) -> R,
 ) -> R {
-    let mut net = GcsNet::with_buffer(orb, out, batching, buf);
+    let mut net = GcsNet::new(orb, out);
     let r = f(&mut net);
     let sent = net.sent();
     if sent > 0 {
@@ -785,35 +675,17 @@ fn with_net<R>(
         obs.metrics.add("gcs.encode_calls", encodes);
         obs.metrics.add("gcs.bytes_encoded", net.bytes_encoded());
     }
-    let frames = net.batch_frames();
-    if frames > 0 {
-        obs.metrics.add("gcs.batch_frames", frames);
-        obs.metrics.add("gcs.batch_msgs", net.batch_msgs());
-    }
-    if buf.has_staged() && !buf.scheduled {
-        buf.scheduled = true;
-        out.set_timer(BATCH_FLUSH_DELAY, BATCH_FLUSH_TAG);
-    }
     r
 }
 
 impl Nso {
-    /// Creates the service object for `node` with the default options:
-    /// no batching (the deterministic baseline).
+    /// Creates the service object for `node`.
     #[must_use]
     pub fn new(node: NodeId) -> Self {
-        Nso::with_options(node, NsoOptions::default())
-    }
-
-    /// Creates the service object for `node` with explicit
-    /// [`NsoOptions`] (send-path batching).
-    #[must_use]
-    pub fn with_options(node: NodeId, opts: NsoOptions) -> Self {
         Nso {
             node,
             orb: OrbCore::new(node),
             gcs: GcsMember::new(node, tags::GCS_BASE),
-            batching: opts.batching,
             client: ClientCore::new(node),
             servers: BTreeMap::new(),
             servants: BTreeMap::new(),
@@ -827,14 +699,10 @@ impl Nso {
             binds: BTreeMap::new(),
             was_primary: BTreeMap::new(),
             nso_timers: BTreeMap::new(),
-            // Tag 0 (NSO_BASE itself) is reserved for the batch-flush
-            // micro-timer; allocated tags start at 1.
-            next_tag: 1,
+            next_tag: 0,
             next_binding: 1,
-            send_buf: SendBuffer::new(),
             outputs: Vec::new(),
             obs: Observability::new(),
-            default_modes: BTreeMap::new(),
             call_issued: BTreeMap::new(),
         }
     }
@@ -932,7 +800,7 @@ impl Nso {
     /// application layer).
     #[must_use]
     pub fn owns_tag(&self, tag: u64) -> bool {
-        tag == BATCH_FLUSH_TAG || self.gcs.owns_tag(tag) || self.nso_timers.contains_key(&tag)
+        self.gcs.owns_tag(tag) || self.nso_timers.contains_key(&tag)
     }
 
     // --- server-side setup ------------------------------------------------
@@ -955,17 +823,10 @@ impl Nso {
         now: SimTime,
         out: &mut Outbox,
     ) -> Result<(), NewtopError> {
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs
-                    .create_group(group.clone(), config, members.clone(), now, net)
-            },
-        )?;
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs
+                .create_group(group.clone(), config, members.clone(), now, net)
+        })?;
         let mut core = ServerCore::new(self.node, group.clone(), replication, optimisation);
         core.set_server_view(members);
         self.was_primary.insert(group.clone(), core.is_primary());
@@ -1005,9 +866,7 @@ impl Nso {
     ///   forwarding to be skipped).
     ///
     /// Returns a [`GroupHandle`] that invocations hang off; readiness
-    /// surfaces as [`NsoOutput::BindingReady`]. The handle's default
-    /// reply mode (for [`GroupHandle::invoke_default`]) and the
-    /// async-forwarding preference are taken from `opts`.
+    /// surfaces as [`NsoOutput::BindingReady`].
     ///
     /// # Errors
     ///
@@ -1021,7 +880,6 @@ impl Nso {
         now: SimTime,
         out: &mut Outbox,
     ) -> Result<GroupHandle, NewtopError> {
-        let default_mode = opts.default_mode;
         let group = match opts.target.clone() {
             BindTarget::Unspecified => Err(NewtopError::BindTargetMissing(server_group)),
             BindTarget::Open { manager } => {
@@ -1076,7 +934,6 @@ impl Nso {
         Ok(GroupHandle {
             group,
             kind: HandleKind::Binding,
-            default_mode,
         })
     }
 
@@ -1094,11 +951,6 @@ impl Nso {
         Some(GroupHandle {
             group: group.clone(),
             kind,
-            default_mode: self
-                .default_modes
-                .get(group)
-                .copied()
-                .unwrap_or(ReplyMode::All),
         })
     }
 
@@ -1121,7 +973,6 @@ impl Nso {
         if self.roles.contains_key(&group) || self.binds.contains_key(&group) {
             return Err(NewtopError::GroupInUse(group));
         }
-        self.default_modes.insert(group.clone(), opts.default_mode);
         let config = GroupConfig {
             ordering: opts.ordering,
             liveness: Liveness::EventDriven,
@@ -1391,15 +1242,9 @@ impl Nso {
         }
         self.roles.remove(group);
         self.client.remove_binding(group);
-        self.default_modes.remove(group);
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| self.gcs.leave_group(group, now, net).unwrap_or_default(),
-        );
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.leave_group(group, now, net).unwrap_or_default()
+        });
         self.route_gcs(outs, now, out);
         Ok(())
     }
@@ -1451,23 +1296,15 @@ impl Nso {
         now: SimTime,
         out: &mut Outbox,
     ) -> Result<GroupHandle, NewtopError> {
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs
-                    .create_group(group.clone(), config, members, now, net)
-            },
-        )?;
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs
+                .create_group(group.clone(), config, members, now, net)
+        })?;
         self.roles.insert(group.clone(), GroupRole::Peer);
         self.route_gcs(outs, now, out);
         Ok(GroupHandle {
             group,
             kind: HandleKind::Peer,
-            default_mode: ReplyMode::All,
         })
     }
 
@@ -1487,22 +1324,14 @@ impl Nso {
         now: SimTime,
         out: &mut Outbox,
     ) -> Result<GroupHandle, NewtopError> {
-        with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs
-                    .join_group(group.clone(), config, contact, now, net)
-            },
-        )?;
+        with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs
+                .join_group(group.clone(), config, contact, now, net)
+        })?;
         self.roles.insert(group.clone(), GroupRole::Peer);
         Ok(GroupHandle {
             group,
             kind: HandleKind::Peer,
-            default_mode: ReplyMode::All,
         })
     }
 
@@ -1521,14 +1350,9 @@ impl Nso {
         if !matches!(self.roles.get(group), Some(GroupRole::Peer)) {
             return Err(NewtopError::Unbound(group.clone()));
         }
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| self.gcs.leave_group(group, now, net),
-        )?;
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.leave_group(group, now, net)
+        })?;
         self.route_gcs(outs, now, out);
         Ok(())
     }
@@ -1541,14 +1365,9 @@ impl Nso {
         now: SimTime,
         out: &mut Outbox,
     ) -> Result<(), NewtopError> {
-        with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| self.gcs.multicast(group, order, payload, now, net),
-        )?;
+        with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.multicast(group, order, payload, now, net)
+        })?;
         Ok(())
     }
 
@@ -1578,17 +1397,10 @@ impl Nso {
         if self.node == manager && !self.servers.contains_key(&server_group) {
             return Err(NewtopError::NotAServer(server_group));
         }
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs
-                    .create_group(monitor.clone(), config, members, now, net)
-            },
-        )?;
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs
+                .create_group(monitor.clone(), config, members, now, net)
+        })?;
         if self.node == manager {
             self.servers
                 .get_mut(&server_group)
@@ -1735,27 +1547,21 @@ impl Nso {
     }
 
     /// Feeds a GCS protocol message the host already decoded off the
-    /// wire — the ingress path for runtimes that parse and unbatch
-    /// frames off the event loop (see [`Nso::decode_gcs_frame`]).
-    /// Feeding each constituent of a frame in order is equivalent to
-    /// [`Nso::on_packet`] on the frame itself.
+    /// wire — the ingress path for runtimes that parse frames off the
+    /// event loop (see [`Nso::decode_gcs_frame`]). Feeding a frame's
+    /// message is equivalent to [`Nso::on_packet`] on the frame itself.
     pub fn on_gcs_message(&mut self, msg: GcsMessage, now: SimTime, out: &mut Outbox) {
-        let outs = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| self.gcs.on_message(msg, now, net),
-        );
+        let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.on_message(msg, now, net)
+        });
         self.route_gcs(outs, now, out);
     }
 
     /// Pre-decodes a wire frame when it is a oneway GCS protocol
-    /// message: returns its constituent [`GcsMessage`]s (batch envelopes
-    /// unpacked, in send order) if the frame is a well-formed oneway
-    /// `GCS_OPERATION` request for the NSO endpoint, and `None`
-    /// otherwise.
+    /// message: returns the frame's one [`GcsMessage`] if the frame is a
+    /// well-formed oneway `GCS_OPERATION` request for the NSO endpoint,
+    /// and `None` otherwise. Every frame carries exactly one message;
+    /// the vector keeps the signature trace decoders already call.
     ///
     /// This is the CPU-heavy part of packet ingress, and it is pure —
     /// a host may run it on its ingress thread, off the event loop, and
@@ -1778,66 +1584,33 @@ impl Nso {
         if object_key.as_str() != NSO_OBJECT_KEY || operation != GCS_OPERATION {
             return None;
         }
-        match GcsMessage::from_cdr(&body).ok()? {
-            GcsMessage::Batch(msgs) => Some(msgs),
-            msg => Some(vec![msg]),
-        }
+        GcsMessage::from_cdr(&body).ok().map(|msg| vec![msg])
     }
 
-    /// Runs the group layer's idle work ([`GcsMember::on_idle`]) and
-    /// sends what the node holds back for company: every group's
-    /// pending sequencer order records, a null in each symmetric group
-    /// where this member has received total-order data stamped past its
-    /// own last data or null, and the staged [`SendBuffer`].
+    /// Runs the group layer's idle work ([`GcsMember::on_idle`]): it
+    /// sends what the node holds back for company, namely every group's
+    /// pending sequencer order records, and a null in each symmetric
+    /// group where this member has received total-order data stamped
+    /// past its own last data or null.
     ///
     /// A threaded host calls this whenever its event queue runs empty,
-    /// before it blocks. Under load the queue is not empty, so messages
-    /// still coalesce across events and members announce their clocks
-    /// through their own data; the batch-flush timer, the order-record
-    /// interval and the time-silence period stay the upper bounds. The
-    /// simulator never calls it, so its runs do not change.
+    /// before it blocks. Under load the queue is not empty, so order
+    /// records still aggregate across events and members announce their
+    /// clocks through their own data; the order-record interval and the
+    /// time-silence period stay the upper bounds. The simulator never
+    /// calls it, so its runs do not change.
     pub fn on_idle(&mut self, now: SimTime, out: &mut Outbox) {
-        with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs.on_idle(now, net);
-                net.flush();
-            },
-        );
+        with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.on_idle(now, net);
+        });
     }
 
     /// Feeds a fired timer whose tag this NSO owns.
     pub fn on_timer(&mut self, tag: u64, now: SimTime, out: &mut Outbox) {
-        if tag == BATCH_FLUSH_TAG {
-            // The coalescing window closed: everything staged since the
-            // timer was armed leaves now, packed per destination. The
-            // epilogue of `with_net` re-arms if the flush itself staged
-            // anything new (it does not, but handlers racing in the
-            // threaded runtime may have).
-            self.send_buf.scheduled = false;
-            with_net(
-                &mut self.orb,
-                &mut self.obs,
-                out,
-                self.batching,
-                &mut self.send_buf,
-                |net| net.flush(),
-            );
-            return;
-        }
         if self.gcs.owns_tag(tag) {
-            let outs = with_net(
-                &mut self.orb,
-                &mut self.obs,
-                out,
-                self.batching,
-                &mut self.send_buf,
-                |net| self.gcs.on_timer(tag, now, net),
-            );
+            let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+                self.gcs.on_timer(tag, now, net)
+            });
             self.route_gcs(outs, now, out);
             return;
         }
@@ -1846,7 +1619,6 @@ impl Nso {
                 NsoTimer::BindTimeout(group) => {
                     if self.binds.remove(&group).is_some() {
                         self.pending_bind_requests.retain(|_, g| g != &group);
-                        self.default_modes.remove(&group);
                         self.fail_bind(group, now);
                     }
                 }
@@ -1912,17 +1684,10 @@ impl Nso {
                         fanout,
                         ..GroupConfig::default()
                     };
-                    let outs = with_net(
-                        &mut self.orb,
-                        &mut self.obs,
-                        out,
-                        self.batching,
-                        &mut self.send_buf,
-                        |net| {
-                            self.gcs
-                                .create_group(group.clone(), config, members, now, net)
-                        },
-                    )
+                    let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
+                        self.gcs
+                            .create_group(group.clone(), config, members, now, net)
+                    })
                     .map_err(|_| {
                         ServantError::User(Bytes::from_static(b"group creation failed"))
                     })?;
@@ -1949,7 +1714,6 @@ impl Nso {
         if !ok {
             self.binds.remove(&group);
             self.pending_bind_requests.retain(|_, g| g != &group);
-            self.default_modes.remove(&group);
             self.fail_bind(group, now);
             return;
         }
@@ -1960,26 +1724,18 @@ impl Nso {
         let Some(bind) = self.binds.remove(&group) else {
             return; // raced with a timeout that already tore it down
         };
-        let created = with_net(
-            &mut self.orb,
-            &mut self.obs,
-            out,
-            self.batching,
-            &mut self.send_buf,
-            |net| {
-                self.gcs.create_group(
-                    group.clone(),
-                    bind.config.clone(),
-                    bind.members.clone(),
-                    now,
-                    net,
-                )
-            },
-        );
+        let created = with_net(&mut self.orb, &mut self.obs, out, |net| {
+            self.gcs.create_group(
+                group.clone(),
+                bind.config.clone(),
+                bind.members.clone(),
+                now,
+                net,
+            )
+        });
         let outs = match created {
             Ok(o) => o,
             Err(_) => {
-                self.default_modes.remove(&group);
                 self.fail_bind(group, now);
                 return;
             }
@@ -2001,17 +1757,10 @@ impl Nso {
         for cmd in cmds {
             match cmd {
                 InvCommand::Multicast { group, payload } => {
-                    let _ = with_net(
-                        &mut self.orb,
-                        &mut self.obs,
-                        out,
-                        self.batching,
-                        &mut self.send_buf,
-                        |net| {
-                            self.gcs
-                                .multicast(&group, DeliveryOrder::Total, payload, now, net)
-                        },
-                    );
+                    let _ = with_net(&mut self.orb, &mut self.obs, out, |net| {
+                        self.gcs
+                            .multicast(&group, DeliveryOrder::Total, payload, now, net)
+                    });
                 }
                 InvCommand::Direct { to, payload } => {
                     self.orb.oneway(
@@ -2051,7 +1800,6 @@ impl Nso {
                         },
                     );
                     self.roles.remove(&group);
-                    self.default_modes.remove(&group);
                     // A broken binding means its manager is gone; any
                     // cached record naming it — and the record this
                     // binding came from — must be re-resolved.
@@ -2059,14 +1807,9 @@ impl Nso {
                     if let Some(name) = self.resolved_origin.remove(&group) {
                         self.dir_cache.invalidate(&name);
                     }
-                    let _ = with_net(
-                        &mut self.orb,
-                        &mut self.obs,
-                        out,
-                        self.batching,
-                        &mut self.send_buf,
-                        |net| self.gcs.leave_group(&group, now, net),
-                    );
+                    let _ = with_net(&mut self.orb, &mut self.obs, out, |net| {
+                        self.gcs.leave_group(&group, now, net)
+                    });
                     self.outputs.push(NsoOutput::BindingBroken {
                         group,
                         manager,
@@ -2263,14 +2006,9 @@ impl Nso {
                         core.remove_client_group(group);
                     }
                     self.roles.remove(group);
-                    let _ = with_net(
-                        &mut self.orb,
-                        &mut self.obs,
-                        out,
-                        self.batching,
-                        &mut self.send_buf,
-                        |net| self.gcs.leave_group(group, now, net),
-                    );
+                    let _ = with_net(&mut self.orb, &mut self.obs, out, |net| {
+                        self.gcs.leave_group(group, now, net)
+                    });
                 }
             }
             GroupRole::MonitorManager { .. } | GroupRole::MonitorCaller | GroupRole::Peer => {}

@@ -21,7 +21,7 @@ use newtop_net::sim::{NodeEvent, Outbox, Sim, SimConfig, SimNode};
 use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 
-use crate::nso::{Nso, NsoOptions, NsoOutput};
+use crate::nso::{Nso, NsoOutput};
 
 /// The application half of a simulated node.
 ///
@@ -46,18 +46,11 @@ pub struct NsoNode {
 }
 
 impl NsoNode {
-    /// Creates the node state with the default [`NsoOptions`].
+    /// Creates the node state.
     #[must_use]
     pub fn new(node: NodeId, app: Box<dyn NsoApp>) -> Self {
-        NsoNode::with_options(node, NsoOptions::default(), app)
-    }
-
-    /// Creates the node state with explicit [`NsoOptions`] (send-path
-    /// batching).
-    #[must_use]
-    pub fn with_options(node: NodeId, opts: NsoOptions, app: Box<dyn NsoApp>) -> Self {
         NsoNode {
-            nso: Nso::with_options(node, opts),
+            nso: Nso::new(node),
             app,
         }
     }

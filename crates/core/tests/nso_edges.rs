@@ -1,23 +1,28 @@
 //! Edge cases of the NSO public API: bind failures and timeouts, unknown
-//! bindings, plain (non-group) ORB invocations, the naming service, and
-//! the idle work a threaded host runs when its event queue empties (the
-//! flush of staged sends and held order records, and symmetric order's
-//! idle nulls).
+//! bindings, plain (non-group) ORB invocations, the naming service, the
+//! one-message GCS frame, and the idle work a threaded host runs when its
+//! event queue empties (the flush of held order records, and symmetric
+//! order's idle nulls).
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, NewtopError, Nso, NsoOptions, NsoOutput};
+use newtop::nso::{BindOptions, NewtopError, Nso, NsoOutput};
 use newtop::simnode::{NsoApp, NsoNode};
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, OrderProtocol};
-use newtop_gcs::messages::GcsMessage;
+use newtop_gcs::messages::{GcsMessage, NullMsg};
+use newtop_gcs::view::ViewId;
+use newtop_gcs::{GCS_OPERATION, NSO_OBJECT_KEY};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
 use newtop_net::sim::{Outbox, OutboxParts, Packet, Sim, SimConfig};
 use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
+use newtop_orb::cdr::{CdrEncode, CdrEncoder};
+use newtop_orb::ior::ObjectRef;
 use newtop_orb::naming::{NameServer, NamingClient};
+use newtop_orb::orb::OrbCore;
 use newtop_orb::servant::Servant;
 
 type StartFn = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
@@ -392,11 +397,6 @@ fn unbind_tears_the_binding_down() {
     assert_eq!(app.phase, 2, "bind, unbind and post-unbind error all ran");
 }
 
-/// An NSO with send-path batching on, as the threaded runtime builds it.
-fn batching_nso(node: NodeId) -> Nso {
-    Nso::with_options(node, NsoOptions::new().with_batching(true))
-}
-
 /// Runs one NSO entry point against a fresh outbox and returns its
 /// parts.
 fn step(nso: &mut Nso, f: impl FnOnce(&mut Nso, &mut Outbox)) -> OutboxParts {
@@ -405,7 +405,7 @@ fn step(nso: &mut Nso, f: impl FnOnce(&mut Nso, &mut Outbox)) -> OutboxParts {
     out.into_parts()
 }
 
-/// The GCS messages an outbox sends to `to`, batch envelopes unpacked.
+/// The GCS messages an outbox sends to `to`.
 fn gcs_to(parts: &OutboxParts, to: NodeId) -> Vec<GcsMessage> {
     parts
         .sends
@@ -426,10 +426,10 @@ fn order_records(msgs: &[GcsMessage]) -> Vec<(u64, Vec<(NodeId, u64)>)> {
 }
 
 #[test]
-fn idle_flush_sends_staged_messages_before_the_batch_timer() {
+fn a_gcs_frame_carries_exactly_one_message() {
     let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
     let now = SimTime::from_millis(1);
-    let mut nso = batching_nso(a);
+    let mut nso = Nso::new(a);
     let mut handle = None;
     step(&mut nso, |nso, out| {
         handle = Some(
@@ -455,24 +455,49 @@ fn idle_flush_sends_staged_messages_before_the_batch_timer() {
             )
             .unwrap();
     });
-    assert!(sent.sends.is_empty(), "a peer-group send stages");
-    assert!(
-        sent.timer_sets
-            .iter()
-            .any(|&(_, delay, _)| delay == Duration::from_micros(300)),
-        "staging arms the batch timer"
+    assert_eq!(sent.sends.len(), 2, "one frame per member, self included");
+    for (dst, frame) in &sent.sends {
+        let msgs = Nso::decode_gcs_frame(frame).expect("a GCS frame");
+        assert_eq!(msgs.len(), 1, "the frame to {dst} holds {msgs:?}");
+    }
+
+    // The retired batch envelope (tag 11) around one valid null.
+    let null = GcsMessage::Null(NullMsg {
+        group: GroupId::new("peers"),
+        view: ViewId(1),
+        sender: b,
+        lamport: 1,
+        last_seq: 0,
+        acks: vec![],
+    });
+    let mut body = CdrEncoder::new();
+    body.write_u8(11);
+    body.write_seq_len(1);
+    null.encode(&mut body);
+    let mut wire = Outbox::detached(0);
+    OrbCore::new(b).oneway(
+        &ObjectRef::new(a, NSO_OBJECT_KEY),
+        GCS_OPERATION,
+        body.finish(),
+        &mut wire,
     );
-    // Same instant: the batch timer has not fired.
-    let idle = step(&mut nso, |nso, out| nso.on_idle(now, out));
+    let (_, frame) = wire.into_parts().sends.pop().expect("one frame");
+    assert_eq!(Nso::decode_gcs_frame(&frame), None);
+
+    nso.take_outputs();
+    let malformed = nso.metrics().counter("decode.malformed");
+    let pkt = Packet {
+        src: b,
+        dst: a,
+        payload: frame,
+    };
+    let received = step(&mut nso, |nso, out| nso.on_packet(&pkt, now, out));
+    assert_eq!(nso.metrics().counter("decode.malformed"), malformed + 1);
+    assert!(received.sends.is_empty(), "a malformed frame sends nothing");
     assert!(
-        gcs_to(&idle, b)
-            .iter()
-            .any(|m| matches!(m, GcsMessage::Data(d) if d.payload.as_ref() == b"hi")),
-        "the idle flush sends the staged multicast: {:?}",
-        gcs_to(&idle, b)
+        nso.take_outputs().is_empty(),
+        "a malformed frame delivers nothing"
     );
-    let again = step(&mut nso, |nso, out| nso.on_idle(now, out));
-    assert!(again.sends.is_empty(), "nothing is left to flush");
 }
 
 #[test]
@@ -480,8 +505,8 @@ fn idle_flush_sends_order_records_held_by_the_interval() {
     let (seq_node, member_node) = (NodeId::from_index(0), NodeId::from_index(1));
     let group = GroupId::new("ordered");
     let config = GroupConfig::peer().with_ordering(OrderProtocol::Asymmetric);
-    let mut sequencer = batching_nso(seq_node);
-    let mut member = batching_nso(member_node);
+    let mut sequencer = Nso::new(seq_node);
+    let mut member = Nso::new(member_node);
     let mut handle = None;
     for nso in [&mut sequencer, &mut member] {
         step(nso, |nso, out| {
@@ -498,10 +523,11 @@ fn idle_flush_sends_order_records_held_by_the_interval() {
         });
     }
     let member_group = handle.unwrap();
-    // The member multicasts at `at`; the sequencer receives the frames at
-    // the same instant. Returns what each receipt left in its outbox.
+    // The member multicasts at `at`, then runs out of work; the sequencer
+    // receives the frames at the same instant. Returns what each receipt
+    // left in its outbox.
     let mut multicast = |sequencer: &mut Nso, payload: &'static [u8], at: SimTime| {
-        step(&mut member, |nso, out| {
+        let sent = step(&mut member, |nso, out| {
             member_group
                 .send(
                     nso,
@@ -512,10 +538,10 @@ fn idle_flush_sends_order_records_held_by_the_interval() {
                 )
                 .unwrap();
         });
-        let frames = step(&mut member, |nso, out| nso.on_idle(at, out));
-        frames
-            .sends
+        let idle = step(&mut member, |nso, out| nso.on_idle(at, out));
+        sent.sends
             .into_iter()
+            .chain(idle.sends)
             .filter(|(dst, _)| *dst == seq_node)
             .map(|(dst, payload)| {
                 let pkt = Packet {
@@ -527,18 +553,18 @@ fn idle_flush_sends_order_records_held_by_the_interval() {
             })
             .collect::<Vec<_>>()
     };
-    // The first record goes out at once (the group was quiet for more
-    // than the interval), staged like any batched send.
+    // The first record goes out at once, in the receipt that made it
+    // due (the group was quiet for more than the interval), so the idle
+    // pass finds nothing held.
     let t1 = SimTime::from_millis(1);
     let received = multicast(&mut sequencer, b"first", t1);
-    assert!(received
+    let records: Vec<_> = received
         .iter()
-        .all(|p| order_records(&gcs_to(p, member_node)).is_empty()));
+        .flat_map(|p| order_records(&gcs_to(p, member_node)))
+        .collect();
+    assert_eq!(records, vec![(1, vec![(member_node, 1)])]);
     let idle = step(&mut sequencer, |nso, out| nso.on_idle(t1, out));
-    assert_eq!(
-        order_records(&gcs_to(&idle, member_node)),
-        vec![(1, vec![(member_node, 1)])]
-    );
+    assert!(order_records(&gcs_to(&idle, member_node)).is_empty());
     // 100 µs later the next record is inside the 500 µs interval: held,
     // with the interval's timer armed, until the idle flush sends it.
     let t2 = SimTime::from_micros(1_100);
@@ -565,7 +591,7 @@ fn idle_nulls_release_a_symmetric_multicast_before_any_timer() {
     let ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
     let group = GroupId::new("peers");
     let now = SimTime::from_millis(1);
-    let mut nsos: Vec<Nso> = ids.iter().map(|&id| batching_nso(id)).collect();
+    let mut nsos: Vec<Nso> = ids.iter().map(|&id| Nso::new(id)).collect();
     let mut handle = None;
     for nso in &mut nsos {
         step(nso, |nso, out| {
@@ -576,7 +602,7 @@ fn idle_nulls_release_a_symmetric_multicast_before_any_timer() {
         });
     }
     let peers = handle.unwrap();
-    step(&mut nsos[0], |nso, out| {
+    let sent = step(&mut nsos[0], |nso, out| {
         peers
             .send(
                 nso,
@@ -596,6 +622,7 @@ fn idle_nulls_release_a_symmetric_multicast_before_any_timer() {
         }
     }
     let mut wire = VecDeque::new();
+    route(ids[0], sent, &mut wire);
     let idle = step(&mut nsos[0], |nso, out| nso.on_idle(now, out));
     route(ids[0], idle, &mut wire);
     while let Some(pkt) = wire.pop_front() {

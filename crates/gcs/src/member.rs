@@ -138,37 +138,6 @@ pub enum GcsOutput {
     },
 }
 
-/// Staged sends awaiting a batch flush. The buffer is owned by the stack
-/// host (the NSO), not by the per-call [`GcsNet`], so one flush window
-/// can span several handler events: every message staged between two
-/// flushes shares a frame per destination, Nagle-style. The host arms a
-/// micro flush timer whenever the buffer is non-empty.
-#[derive(Debug, Default)]
-pub struct SendBuffer {
-    /// Staged messages, in send order.
-    staged: Vec<GcsMessage>,
-    /// Per destination: indices into `staged` awaiting the flush.
-    staged_for: BTreeMap<NodeId, Vec<u32>>,
-    /// A flush timer is outstanding. The host sets this when it arms the
-    /// timer and clears it when the timer fires, keeping exactly one
-    /// timer in flight while anything is staged.
-    pub scheduled: bool,
-}
-
-impl SendBuffer {
-    /// An empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when messages are staged and not yet flushed.
-    #[must_use]
-    pub fn has_staged(&self) -> bool {
-        !self.staged_for.is_empty()
-    }
-}
-
 /// The network context for one call: the node's ORB plus the outbox the
 /// runtime will apply.
 pub struct GcsNet<'a> {
@@ -179,39 +148,18 @@ pub struct GcsNet<'a> {
     sent: u64,
     encode_calls: u64,
     bytes_encoded: u64,
-    /// Send-path batching: when set, point-to-point sends and
-    /// asynchronous fan-outs are staged and packed per destination into
-    /// [`GcsMessage::Batch`] frames by [`Self::flush`].
-    batching: bool,
-    /// The host's staging buffer.
-    buf: &'a mut SendBuffer,
-    batch_frames: u64,
-    batch_msgs: u64,
 }
 
 impl<'a> GcsNet<'a> {
-    /// Creates a context staging into the host's persistent `buf`, so
-    /// messages from several handler events coalesce until the host's
-    /// flush timer fires. With `batching` off every send goes out as its
-    /// own frame immediately and `buf` stays empty. The host is
-    /// responsible for eventually calling [`Self::flush`] on a context
-    /// over the same buffer.
-    pub fn with_buffer(
-        orb: &'a mut OrbCore,
-        out: &'a mut Outbox,
-        batching: bool,
-        buf: &'a mut SendBuffer,
-    ) -> Self {
+    /// Creates a context over the node's ORB and the outbox of the event
+    /// being handled: every send goes out as its own frame at once.
+    pub fn new(orb: &'a mut OrbCore, out: &'a mut Outbox) -> Self {
         GcsNet {
             orb,
             out,
             sent: 0,
             encode_calls: 0,
             bytes_encoded: 0,
-            batching,
-            buf,
-            batch_frames: 0,
-            batch_msgs: 0,
         }
     }
 
@@ -251,10 +199,6 @@ impl<'a> GcsNet<'a> {
 
     fn send(&mut self, to: NodeId, msg: &GcsMessage) {
         self.sent += 1;
-        if self.batching {
-            self.stage(to, msg);
-            return;
-        }
         let body = self.encode_body(msg);
         self.orb.oneway(
             &ObjectRef::new(to, NSO_OBJECT_KEY),
@@ -262,78 +206,6 @@ impl<'a> GcsNet<'a> {
             body,
             self.out,
         );
-    }
-
-    /// Stages `msg` for `to`, sharing one staged copy when the same
-    /// message fans out to several destinations in this flush window.
-    fn stage(&mut self, to: NodeId, msg: &GcsMessage) {
-        let buf = &mut *self.buf;
-        let idx = match buf.staged.last() {
-            Some(last) if last == msg => buf.staged.len() - 1,
-            _ => {
-                buf.staged.push(msg.clone());
-                buf.staged.len() - 1
-            }
-        };
-        #[allow(clippy::cast_possible_truncation)]
-        buf.staged_for.entry(to).or_default().push(idx as u32);
-    }
-
-    /// Flushes staged sends: destinations whose staged message lists are
-    /// identical share one frame (encoded once, refcount-cloned per
-    /// recipient, like the fan-out path); a destination with a single
-    /// staged message gets the plain frame, byte-identical to an
-    /// unbatched send; multiple messages are wrapped in one
-    /// [`GcsMessage::Batch`] envelope.
-    pub fn flush(&mut self) {
-        let buf = &mut *self.buf;
-        if buf.staged_for.is_empty() {
-            buf.staged.clear();
-            return;
-        }
-        let staged = std::mem::take(&mut buf.staged);
-        let staged_for = std::mem::take(&mut buf.staged_for);
-        // Deterministic: BTreeMap iteration groups destinations by list
-        // in list order; ties inside a group keep NodeId order.
-        let mut by_list: BTreeMap<Vec<u32>, Vec<NodeId>> = BTreeMap::new();
-        for (to, list) in staged_for {
-            by_list.entry(list).or_default().push(to);
-        }
-        for (list, dests) in by_list {
-            let frame = if let [only] = list.as_slice() {
-                match staged.get(*only as usize) {
-                    Some(m) => self.encode_body(m),
-                    None => continue,
-                }
-            } else {
-                let msgs: Vec<GcsMessage> = list
-                    .iter()
-                    .filter_map(|&i| staged.get(i as usize).cloned())
-                    .collect();
-                self.batch_msgs += msgs.len() as u64;
-                self.batch_frames += 1;
-                self.encode_body(&GcsMessage::Batch(msgs))
-            };
-            self.orb.oneway_fanout(
-                dests,
-                &ObjectKey::new(NSO_OBJECT_KEY),
-                GCS_OPERATION,
-                &frame,
-                self.out,
-            );
-        }
-    }
-
-    /// Batch frames emitted by [`Self::flush`] (multi-message only).
-    #[must_use]
-    pub fn batch_frames(&self) -> u64 {
-        self.batch_frames
-    }
-
-    /// Messages carried inside those batch frames.
-    #[must_use]
-    pub fn batch_msgs(&self) -> u64 {
-        self.batch_msgs
     }
 
     /// Sends one message to many members as a single multicast fan-out.
@@ -349,16 +221,6 @@ impl<'a> GcsNet<'a> {
         targets: I,
         msg: &GcsMessage,
     ) {
-        // Synchronous fan-outs chain per-member round trips and must go
-        // out immediately to keep that timing; only asynchronous
-        // fan-outs are batchable.
-        if self.batching && mode == crate::group::FanoutMode::Asynchronous {
-            for t in targets {
-                self.sent += 1;
-                self.stage(t, msg);
-            }
-            return;
-        }
         if mode == crate::group::FanoutMode::Synchronous {
             self.out.begin_fanout();
         }
@@ -441,6 +303,11 @@ struct GroupState {
     announced: u64,
     last_activity: SimTime,
     liveness_running: bool,
+    /// When the null and suspicion timers last stopped (an event-driven
+    /// group past its linger). Silence counts only while they run, so
+    /// [`GcsMember::ensure_liveness`] moves `last_heard` forward by the
+    /// span they were stopped.
+    liveness_stopped: SimTime,
     nack_scheduled: bool,
     /// Sequencer only: ordering records not yet multicast, and the pacing
     /// state of the batching described at [`ORDER_FLUSH_INTERVAL`].
@@ -462,6 +329,15 @@ struct GroupState {
 impl GroupState {
     fn is_member(&self) -> bool {
         matches!(self.role, Role::Member)
+    }
+
+    /// Marks the null and suspicion timers stopped at `now`, the first
+    /// time either of them finds the group quiet.
+    fn stop_liveness(&mut self, now: SimTime) {
+        if self.liveness_running {
+            self.liveness_running = false;
+            self.liveness_stopped = now;
+        }
     }
 }
 
@@ -676,6 +552,7 @@ impl GcsMember {
             announced: 0,
             last_activity: now,
             liveness_running: false,
+            liveness_stopped: now,
             nack_scheduled: false,
             pending_order: Vec::new(),
             last_order_flush: SimTime::ZERO,
@@ -752,6 +629,7 @@ impl GcsMember {
                 announced: 0,
                 last_activity: now,
                 liveness_running: false,
+                liveness_stopped: now,
                 nack_scheduled: false,
                 pending_order: Vec::new(),
                 last_order_flush: SimTime::ZERO,
@@ -910,28 +788,11 @@ impl GcsMember {
         now: SimTime,
         net: &mut GcsNet<'_>,
     ) -> Vec<GcsOutput> {
-        // A batch envelope is unpacked here and its constituents handled
-        // in send order. Decode already rejects nested batches, so the
-        // recursion is exactly one level deep.
-        if let GcsMessage::Batch(msgs) = msg {
-            let mut outputs = Vec::new();
-            for m in msgs {
-                if !matches!(m, GcsMessage::Batch(_)) {
-                    outputs.extend(self.on_message(m, now, net));
-                }
-            }
-            return outputs;
-        }
-        let Some(group) = msg.group().cloned() else {
-            return Vec::new();
-        };
+        let group = msg.group().clone();
         if !self.groups.contains_key(&group) {
             return Vec::new();
         }
         match msg {
-            // Handled above; an inner batch cannot decode (nesting is a
-            // wire error), so this arm is dead but must stay panic-free.
-            GcsMessage::Batch(_) => {}
             GcsMessage::Data(d) => self.on_data(&group, d, now, net),
             GcsMessage::Null(n) => self.on_null(&group, n, now, net),
             GcsMessage::Nack {
@@ -1761,7 +1622,7 @@ impl GcsMember {
     fn on_null_timer(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
         if !self.should_run_liveness(group, now) {
             if let Some(state) = self.groups.get_mut(group) {
-                state.liveness_running = false;
+                state.stop_liveness(now);
             }
             return;
         }
@@ -1816,7 +1677,7 @@ impl GcsMember {
         let node = self.node;
         if !self.should_run_liveness(group, now) {
             if let Some(state) = self.groups.get_mut(group) {
-                state.liveness_running = false;
+                state.stop_liveness(now);
             }
             return;
         }
@@ -2138,7 +1999,11 @@ impl GcsMember {
     }
 
     /// Starts the null/suspicion timers if the group should be live and
-    /// they are not already running.
+    /// they are not already running. A restart after a quiet spell moves
+    /// every `last_heard` forward by the spell, capped at `now`: nobody
+    /// sends nulls while the timers are stopped, so the spell is not
+    /// silence. Resetting to `now` instead would let a retry that keeps
+    /// restarting the timers hide a crashed member for ever.
     fn ensure_liveness(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
         if !self.should_run_liveness(group, now) {
             return;
@@ -2150,6 +2015,10 @@ impl GcsMember {
             return;
         }
         state.liveness_running = true;
+        let quiet = now.saturating_since(state.liveness_stopped);
+        for heard in state.last_heard.values_mut() {
+            *heard = (*heard + quiet).min(now);
+        }
         let period = state.config.time_silence;
         self.schedule(group, TimerKind::Null, period, 0, net);
         self.schedule(group, TimerKind::Suspicion, period, 0, net);
@@ -2185,15 +2054,15 @@ mod tests {
         NodeId::from_index(i)
     }
 
-    fn net_parts(node: NodeId) -> (OrbCore, Outbox, SendBuffer) {
-        (OrbCore::new(node), Outbox::detached(0), SendBuffer::new())
+    fn net_parts(node: NodeId) -> (OrbCore, Outbox) {
+        (OrbCore::new(node), Outbox::detached(0))
     }
 
     #[test]
     fn create_group_validates_membership() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
-        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+        let (mut orb, mut out) = net_parts(n(0));
+        let mut net = GcsNet::new(&mut orb, &mut out);
         assert_eq!(
             m.create_group(
                 GroupId::new("g"),
@@ -2239,8 +2108,8 @@ mod tests {
     #[test]
     fn multicast_requires_membership() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
-        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+        let (mut orb, mut out) = net_parts(n(0));
+        let mut net = GcsNet::new(&mut orb, &mut out);
         assert!(matches!(
             m.multicast(
                 &GroupId::new("nope"),
@@ -2256,8 +2125,8 @@ mod tests {
     #[test]
     fn multicast_sheds_when_the_send_window_is_exhausted() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
-        let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+        let (mut orb, mut out) = net_parts(n(0));
+        let mut net = GcsNet::new(&mut orb, &mut out);
         let g = GroupId::new("g");
         m.create_group(
             g.clone(),
@@ -2325,9 +2194,9 @@ mod tests {
     #[test]
     fn multicast_fans_out_to_every_member_including_self() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let (mut orb, mut out) = net_parts(n(0));
         {
-            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+            let mut net = GcsNet::new(&mut orb, &mut out);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::peer(),
@@ -2356,9 +2225,9 @@ mod tests {
     #[test]
     fn lively_groups_arm_timers_at_creation() {
         let mut m = GcsMember::new(n(0), 1000);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let (mut orb, mut out) = net_parts(n(0));
         {
-            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+            let mut net = GcsNet::new(&mut orb, &mut out);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::peer(),
@@ -2379,9 +2248,9 @@ mod tests {
     #[test]
     fn event_driven_groups_stay_quiet_until_traffic() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let (mut orb, mut out) = net_parts(n(0));
         {
-            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+            let mut net = GcsNet::new(&mut orb, &mut out);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::request_reply(),
@@ -2401,9 +2270,9 @@ mod tests {
     #[test]
     fn leave_group_notifies_peers_and_cleans_up() {
         let mut m = GcsMember::new(n(0), 0);
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
+        let (mut orb, mut out) = net_parts(n(0));
         {
-            let mut net = GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf);
+            let mut net = GcsNet::new(&mut orb, &mut out);
             m.create_group(
                 GroupId::new("g"),
                 GroupConfig::default(),
@@ -2422,7 +2291,7 @@ mod tests {
             .leave_group(
                 &GroupId::new("g"),
                 SimTime::ZERO,
-                &mut GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf)
+                &mut GcsNet::new(&mut orb, &mut out)
             )
             .is_err());
     }
@@ -2443,95 +2312,15 @@ mod tests {
         GcsMessage::decode(&mut dec).unwrap()
     }
 
-    fn data_msg(seq: u64) -> GcsMessage {
-        GcsMessage::Data(Arc::new(DataMsg {
-            group: GroupId::new("g"),
-            view: ViewId(1),
-            sender: n(0),
-            seq,
-            lamport: 10 + seq,
-            order: DeliveryOrder::Total,
-            deps: DepsVector::new(),
-            acks: vec![(n(0), seq)],
-            payload: Bytes::from(format!("payload-{seq}")),
-        }))
-    }
-
-    #[test]
-    fn single_staged_send_flushes_byte_identical_to_unbatched() {
-        // A destination holding exactly one staged message must get the
-        // plain frame — the whole wire packet, GIOP header included,
-        // byte-identical to what an unbatched context sends.
-        let msg = data_msg(1);
-
-        let (mut orb_a, mut out_a, mut buf_a) = net_parts(n(0));
-        let mut plain = GcsNet::with_buffer(&mut orb_a, &mut out_a, false, &mut buf_a);
-        plain.send(n(1), &msg);
-
-        let (mut orb_b, mut out_b, mut buf_b) = net_parts(n(0));
-        let mut batched = GcsNet::with_buffer(&mut orb_b, &mut out_b, true, &mut buf_b);
-        batched.send(n(1), &msg);
-        batched.flush();
-        assert_eq!(batched.batch_frames(), 0, "one message must not wrap");
-
-        let (sa, sb) = (out_a.into_parts().sends, out_b.into_parts().sends);
-        assert_eq!(sa.len(), 1);
-        assert_eq!(
-            sa, sb,
-            "batching=on with one staged send changed the wire bytes"
-        );
-    }
-
-    #[test]
-    fn batch_frame_unbatches_to_byte_identical_messages() {
-        // Several staged messages for one destination pack into a single
-        // Batch frame; unpacking it must yield constituents whose
-        // individual encodings are byte-identical to the originals'.
-        let msgs = [data_msg(1), data_msg(2), data_msg(3)];
-
-        let (mut orb, mut out, mut buf) = net_parts(n(0));
-        let mut net = GcsNet::with_buffer(&mut orb, &mut out, true, &mut buf);
-        for m in &msgs {
-            net.send(n(1), m);
-        }
-        net.flush();
-        assert_eq!(net.batch_frames(), 1);
-        assert_eq!(net.batch_msgs(), 3);
-
-        let sends = out.into_parts().sends;
-        assert_eq!(sends.len(), 1, "three staged sends must share one frame");
-
-        let GcsMessage::Batch(unpacked) = decode_frame(n(0), n(1), sends[0].1.clone()) else {
-            panic!("multi-message flush must produce a Batch envelope");
-        };
-        assert_eq!(unpacked.len(), msgs.len());
-        for (original, recovered) in msgs.iter().zip(&unpacked) {
-            assert_eq!(original, recovered);
-            let encode = |m: &GcsMessage| {
-                let mut enc = newtop_orb::cdr::CdrEncoder::new();
-                m.encode(&mut enc);
-                enc.finish()
-            };
-            assert_eq!(
-                encode(original),
-                encode(recovered),
-                "unbatched constituent re-encodes to different bytes"
-            );
-        }
-    }
-
-    /// Runs `f` against a fresh, unbatched network context of `m` and
-    /// returns the GCS messages it sent, with their destinations.
+    /// Runs `f` against a fresh network context of `m` and returns the
+    /// GCS messages it sent, with their destinations.
     fn sent_by(
         m: &mut GcsMember,
         f: impl FnOnce(&mut GcsMember, &mut GcsNet<'_>),
     ) -> Vec<(NodeId, GcsMessage)> {
         let me = m.node();
-        let (mut orb, mut out, mut buf) = net_parts(me);
-        f(
-            m,
-            &mut GcsNet::with_buffer(&mut orb, &mut out, false, &mut buf),
-        );
+        let (mut orb, mut out) = net_parts(me);
+        f(m, &mut GcsNet::new(&mut orb, &mut out));
         out.into_parts()
             .sends
             .into_iter()

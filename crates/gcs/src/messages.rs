@@ -204,22 +204,15 @@ pub enum GcsMessage {
         /// Messages some members may be missing.
         msgs: Vec<Arc<DataMsg>>,
     },
-    /// A batch envelope: several small messages bound for one destination
-    /// packed into a single GIOP frame per send-path flush. Constituents
-    /// may target different groups (the batch is per destination, not per
-    /// group); receivers unpack and route each constituent independently.
-    /// Nested and empty batches are wire errors.
-    Batch(Vec<GcsMessage>),
 }
 
 impl GcsMessage {
-    /// The group this message concerns; `None` for a [`GcsMessage::Batch`]
-    /// envelope, whose constituents may span groups.
+    /// The group this message concerns.
     #[must_use]
-    pub fn group(&self) -> Option<&GroupId> {
+    pub fn group(&self) -> &GroupId {
         match self {
-            GcsMessage::Data(d) => Some(&d.group),
-            GcsMessage::Null(n) => Some(&n.group),
+            GcsMessage::Data(d) => &d.group,
+            GcsMessage::Null(n) => &n.group,
             GcsMessage::Nack { group, .. }
             | GcsMessage::SeqOrder { group, .. }
             | GcsMessage::OrderNack { group, .. }
@@ -228,8 +221,7 @@ impl GcsMessage {
             | GcsMessage::Suspect { group, .. }
             | GcsMessage::Propose { group, .. }
             | GcsMessage::StateResp { group, .. }
-            | GcsMessage::Install { group, .. } => Some(group),
-            GcsMessage::Batch(_) => None,
+            | GcsMessage::Install { group, .. } => group,
         }
     }
 
@@ -248,20 +240,13 @@ impl GcsMessage {
             GcsMessage::Propose { .. } => "propose",
             GcsMessage::StateResp { .. } => "state-resp",
             GcsMessage::Install { .. } => "install",
-            GcsMessage::Batch(_) => "batch",
         }
     }
 }
 
 impl fmt::Display for GcsMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.group() {
-            Some(g) => write!(f, "{}[{}]", self.kind(), g),
-            None => match self {
-                GcsMessage::Batch(msgs) => write!(f, "batch[{}]", msgs.len()),
-                _ => write!(f, "{}[]", self.kind()),
-            },
-        }
+        write!(f, "{}[{}]", self.kind(), self.group())
     }
 }
 
@@ -351,12 +336,6 @@ const TAG_SUSPECT: u8 = 7;
 const TAG_PROPOSE: u8 = 8;
 const TAG_STATE_RESP: u8 = 9;
 const TAG_INSTALL: u8 = 10;
-const TAG_BATCH: u8 = 11;
-
-/// Most constituents a decoded batch may carry: a flush only packs the
-/// handful of rounds accumulated between two drive steps, so anything
-/// huge is hostile input, not a real batch.
-pub const MAX_BATCH_LEN: usize = 1024;
 
 impl CdrEncode for GcsMessage {
     fn encode(&self, enc: &mut CdrEncoder) {
@@ -484,13 +463,6 @@ impl CdrEncode for GcsMessage {
                 view.encode(enc);
                 msgs.encode(enc);
             }
-            GcsMessage::Batch(msgs) => {
-                enc.write_u8(TAG_BATCH);
-                enc.write_seq_len(msgs.len());
-                for m in msgs {
-                    m.encode(enc);
-                }
-            }
         }
     }
 }
@@ -560,25 +532,6 @@ impl CdrDecode for GcsMessage {
                 view: View::decode(dec)?,
                 msgs: Vec::decode(dec)?,
             },
-            TAG_BATCH => {
-                let len = dec.read_seq_len()?;
-                // An empty or oversized batch never leaves a well-behaved
-                // sender; treat both as malformed frames.
-                if len == 0 || len > MAX_BATCH_LEN {
-                    return Err(CdrError::BadDiscriminant(u32::from(TAG_BATCH)));
-                }
-                let mut msgs = Vec::with_capacity(len.min(64));
-                for _ in 0..len {
-                    let m = GcsMessage::decode(dec)?;
-                    // Nesting would allow unbounded recursion on hostile
-                    // input; one level is all the send path produces.
-                    if matches!(m, GcsMessage::Batch(_)) {
-                        return Err(CdrError::BadDiscriminant(u32::from(TAG_BATCH)));
-                    }
-                    msgs.push(m);
-                }
-                GcsMessage::Batch(msgs)
-            }
             other => return Err(CdrError::BadDiscriminant(u32::from(other))),
         })
     }
@@ -697,42 +650,6 @@ mod tests {
     fn unknown_tag_is_rejected() {
         let mut enc = CdrEncoder::new();
         enc.write_u8(200);
-        assert!(GcsMessage::from_cdr(&enc.finish()).is_err());
-    }
-
-    #[test]
-    fn batch_round_trips_and_spans_groups() {
-        let b = GcsMessage::Batch(vec![
-            GcsMessage::Data(Arc::new(sample_data())),
-            GcsMessage::Null(NullMsg {
-                group: GroupId::new("other"),
-                view: ViewId(2),
-                sender: n(4),
-                lamport: 8,
-                last_seq: 1,
-                acks: vec![],
-            }),
-        ]);
-        assert_eq!(GcsMessage::from_cdr(&b.to_cdr()).unwrap(), b);
-        assert_eq!(b.group(), None);
-        assert_eq!(b.kind(), "batch");
-    }
-
-    #[test]
-    fn empty_and_nested_batches_are_rejected() {
-        let empty = GcsMessage::Batch(vec![]);
-        assert!(GcsMessage::from_cdr(&empty.to_cdr()).is_err());
-        let nested = GcsMessage::Batch(vec![GcsMessage::Batch(vec![GcsMessage::Data(Arc::new(
-            sample_data(),
-        ))])]);
-        assert!(GcsMessage::from_cdr(&nested.to_cdr()).is_err());
-    }
-
-    #[test]
-    fn oversized_batch_length_is_rejected() {
-        let mut enc = CdrEncoder::new();
-        enc.write_u8(11);
-        enc.write_seq_len(MAX_BATCH_LEN + 1);
         assert!(GcsMessage::from_cdr(&enc.finish()).is_err());
     }
 

@@ -8,16 +8,18 @@
 //!
 //! Each node runs two threads. The ingress thread
 //! (`newtop-rt-ingress-{node}`) takes packets off the transport in
-//! arrival order and decodes and unbatches GCS frames
-//! ([`Nso::decode_gcs_frame`], the CPU-heavy part of ingress); other
-//! packets pass through undecoded. The event loop (`nso-{node}`) waits
+//! arrival order and decodes GCS frames ([`Nso::decode_gcs_frame`],
+//! the CPU-heavy part of ingress); other packets pass through
+//! undecoded. The event loop (`nso-{node}`) waits
 //! on one bounded queue. That queue carries the ingress thread's frames
 //! and packets, application commands and the stop event. The loop blocks
 //! on it until its next timer deadline, so it wakes when work arrives
 //! rather than on a poll, and applies everything to the node's one
 //! protocol engine. Whenever the queue runs empty, the loop first runs
-//! the NSO's idle work ([`Nso::on_idle`]): it sends what batching staged
-//! and announces the node's clock in symmetric groups that wait on it.
+//! the NSO's idle work ([`Nso::on_idle`]): it sends held sequencer order
+//! records and announces the node's clock in symmetric groups that wait
+//! on it. Every GCS message leaves as its own frame during the event that
+//! produced it.
 //! Applications drive the node through a [`NodeHandle`]:
 //! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
 //! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /
@@ -48,7 +50,7 @@ use std::time::{Duration, Instant};
 use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use newtop_flow::FlowConfig;
 
-use newtop::nso::{Nso, NsoOptions, NsoOutput};
+use newtop::nso::{Nso, NsoOutput};
 use newtop_gcs::messages::GcsMessage;
 use newtop_net::sim::{Outbox, Packet, TimerId};
 use newtop_net::site::NodeId;
@@ -59,8 +61,8 @@ use newtop_net::transport::WireTransport;
 ///
 /// There is nothing to set: every node sizes its event and output
 /// queues from the default [`FlowConfig::queue_capacity`], runs one
-/// protocol engine and always batches its sends. The read-only
-/// accessors below report the last two facts.
+/// protocol engine and sends every GCS message as its own frame. The
+/// read-only accessors below report the last two facts.
 #[derive(Clone, Debug, Default)]
 pub struct RuntimeOptions {}
 
@@ -78,13 +80,13 @@ impl RuntimeOptions {
         1
     }
 
-    /// Whether send-path batching is on. Always `true`: the runtime
-    /// packs small protocol messages for one destination into one batch
-    /// frame while events keep coming, and sends them when it runs out
-    /// of work.
+    /// Whether send-path batching is on. Always `false`: each GCS
+    /// message leaves as its own frame. Batching was removed because
+    /// traced runs packed no frame with it on. The accessor stays
+    /// because benchmark reports print the runtime's send posture.
     #[must_use]
     pub fn batching(&self) -> bool {
-        true
+        false
     }
 }
 
@@ -94,7 +96,7 @@ type Command = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
 /// it, so the loop blocks in one place and wakes on whichever comes
 /// first.
 enum Event {
-    /// The decoded GCS messages of one frame, from the ingress thread.
+    /// The decoded GCS message of one frame, from the ingress thread.
     Gcs(Vec<GcsMessage>),
     /// Any other packet, as it arrived, from the ingress thread.
     Raw(Packet),
@@ -236,11 +238,11 @@ impl NodeRuntime {
     }
 }
 
-/// Spawns the ingress thread. It decodes and unbatches GCS frames so
-/// that work stays off the event loop, and passes every other packet
-/// through for [`Nso::on_packet`]. One thread keeps per-source FIFO
-/// order without further bookkeeping. It exits once the event loop has
-/// stopped and the next packet finds the queue without a receiver.
+/// Spawns the ingress thread. It decodes GCS frames so that work stays
+/// off the event loop, and passes every other packet through for
+/// [`Nso::on_packet`]. One thread keeps per-source FIFO order without
+/// further bookkeeping. It exits once the event loop has stopped and
+/// the next packet finds the queue without a receiver.
 fn spawn_ingress(node: NodeId, incoming: Receiver<Packet>, events: Sender<Event>) {
     std::thread::Builder::new()
         .name(format!("newtop-rt-ingress-{node}"))
@@ -380,7 +382,7 @@ fn event_loop(
     events: &Receiver<Event>,
     outputs: &Sender<NsoOutput>,
 ) {
-    let mut nso = Nso::with_options(node, NsoOptions::new().with_batching(true));
+    let mut nso = Nso::new(node);
     let mut host = Host {
         transport,
         outputs,

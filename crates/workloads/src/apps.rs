@@ -342,9 +342,8 @@ impl HubApp {
             .map(|((service, servers), tag)| {
                 let opts = BindOptions::closed(servers.clone())
                     .with_ordering(ordering)
-                    // Asynchronous fan-outs let the data path batch: the
-                    // data multicast, its acks and the piggybacked order
-                    // records can share a frame per destination.
+                    // The asynchronous method invocation operation
+                    // (§5.2): the hub's fan-outs do not chain round trips.
                     .with_fanout(FanoutMode::Asynchronous);
                 SmartProxy::new(service, servers, opts, tag)
             })

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use newtop::nso::{BindOptions, NsoOptions};
+use newtop::nso::BindOptions;
 use newtop::simnode::NsoNode;
 use newtop_gcs::group::{FanoutMode, GroupConfig, GroupId, Liveness, OrderProtocol};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
@@ -631,9 +631,9 @@ pub fn run_peer(s: &PeerScenario) -> PeerResult {
 
 /// A multi-group experiment: `groups` independent replicated services
 /// with disjoint server sets, and `hubs` client nodes each bound to all
-/// of them, running a closed loop per binding. Every hub serves several
-/// unrelated groups, so batching can pack the per-destination protocol
-/// traffic of different groups into shared frames.
+/// of them, running a closed loop per binding. Every hub takes part in
+/// several unrelated groups at once, so its node carries their protocol
+/// traffic side by side.
 #[derive(Clone, Debug)]
 pub struct MultiGroupScenario {
     /// Number of independent services.
@@ -642,8 +642,6 @@ pub struct MultiGroupScenario {
     pub servers_per_group: usize,
     /// Number of hub clients, each bound to every service.
     pub hubs: usize,
-    /// Whether send-path batching is on.
-    pub batching: bool,
     /// Ordering protocol for all groups.
     pub ordering: OrderProtocol,
     /// Reply-collection primitive.
@@ -655,15 +653,13 @@ pub struct MultiGroupScenario {
 }
 
 impl MultiGroupScenario {
-    /// The BENCH_PR6 configuration: 8 services x 3 replicas, 12 hubs,
-    /// batching on.
+    /// The BENCH_PR6 configuration: 8 services x 3 replicas, 12 hubs.
     #[must_use]
     pub fn bench_default(seed: u64) -> Self {
         MultiGroupScenario {
             groups: 8,
             servers_per_group: 3,
             hubs: 12,
-            batching: true,
             ordering: OrderProtocol::Asymmetric,
             mode: ReplyMode::All,
             duration: Duration::from_secs(2),
@@ -687,10 +683,6 @@ pub struct MultiGroupResult {
     /// Hub proxies that gave up after every replica failed — must stay
     /// zero.
     pub gave_up: u32,
-    /// Batch frames sent across all nodes (`gcs.batch_frames`).
-    pub batch_frames: u64,
-    /// Protocol messages carried inside batch frames (`gcs.batch_msgs`).
-    pub batch_msgs: u64,
 }
 
 /// Runs a [`MultiGroupScenario`] and returns the aggregate result plus
@@ -703,12 +695,11 @@ pub struct MultiGroupResult {
 pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duration>) {
     assert!(s.groups > 0 && s.servers_per_group > 0 && s.hubs > 0);
     let mut sim = Sim::new(SimConfig::lan(s.seed));
-    let opts = NsoOptions::new().with_batching(s.batching);
     let gs_config = GroupConfig {
         ordering: s.ordering,
         liveness: Liveness::EventDriven,
-        // Back-to-back fan-outs so a batching-enabled node can pack
-        // same-destination messages into one frame.
+        // The asynchronous method invocation operation (§5.2): fan-outs
+        // do not chain round trips.
         fanout: FanoutMode::Asynchronous,
         ..GroupConfig::default()
     };
@@ -728,10 +719,7 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
                 seed: s.seed.wrapping_add(i as u64),
                 directory: Vec::new(),
             };
-            let added = sim.add_node(
-                Site::Lan,
-                Box::new(NsoNode::with_options(id, opts.clone(), Box::new(app))),
-            );
+            let added = sim.add_node(Site::Lan, Box::new(NsoNode::new(id, Box::new(app))));
             assert_eq!(added, id);
         }
         services.push((group, members));
@@ -747,10 +735,7 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
             s.ordering,
             Duration::from_millis(1 + i as u64),
         );
-        let added = sim.add_node(
-            Site::Lan,
-            Box::new(NsoNode::with_options(id, opts.clone(), Box::new(app))),
-        );
+        let added = sim.add_node(Site::Lan, Box::new(NsoNode::new(id, Box::new(app))));
         assert_eq!(added, id);
     }
     sim.run_until(SimTime::ZERO + s.duration);
@@ -764,15 +749,6 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
         all.extend(app.completions.iter().copied());
         duplicated += app.duplicate_completions;
         gave_up += app.gave_up;
-    }
-    let (mut batch_frames, mut batch_msgs) = (0, 0);
-    for idx in 0..(first_hub + s.hubs) {
-        let node = sim
-            .node_ref::<NsoNode>(NodeId::from_index(idx as u32))
-            .expect("node");
-        let snap = node.nso().metrics();
-        batch_frames += snap.counter("gcs.batch_frames");
-        batch_msgs += snap.counter("gcs.batch_msgs");
     }
     let summary = summarize(&all, s.duration);
     let (lo, hi) = window(s.duration);
@@ -788,8 +764,6 @@ pub fn run_multi_group(s: &MultiGroupScenario) -> (MultiGroupResult, Vec<Duratio
             mean_response: summary.mean_response,
             duplicated,
             gave_up,
-            batch_frames,
-            batch_msgs,
         },
         latencies,
     )

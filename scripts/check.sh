@@ -99,9 +99,11 @@ for example in quickstart replicated_bank passive_store conference group_to_grou
     ./target/release/"$example" > /dev/null
 done
 
-echo "==> perfbench smoke (the benchmark builds, short invoke-open and peer-total runs are correct, its lockfile stays put)"
+echo "==> perfbench smoke (the benchmark builds, a short run of each workload is correct, its lockfile stays put)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-for workload in invoke-open peer-total; do
+# invoke-closed is the only workload on the closed binding, 4 KiB
+# arguments and the flow window.
+for workload in invoke-open peer-total invoke-closed; do
     perfbench_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
     case "$perfbench_last" in

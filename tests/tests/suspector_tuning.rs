@@ -11,11 +11,16 @@
 //! * at an aggressive interval, the same deployment produces a
 //!   false-suspicion storm — the historical failure mode the rule
 //!   exists to prevent.
+//!
+//! An event-driven group stops its null and suspicion timers once it has
+//! been quiet past its linger. A quiet spell longer than the suspicion
+//! timeout must not read as silence when traffic resumes, yet a member
+//! that crashed during the spell must still be excluded.
 
 use std::time::Duration;
 
 use newtop::simnode::GcsHarness;
-use newtop_gcs::group::{GroupConfig, GroupId};
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, Liveness, OrderProtocol};
 use newtop_net::latency::LatencyMatrix;
 use newtop_net::sim::SimConfig;
 use newtop_net::site::{NodeId, Site};
@@ -143,4 +148,78 @@ fn aggressive_interval_reproduces_a_false_suspicion_storm() {
     let recommended =
         GroupConfig::peer().recommended_time_silence(LatencyMatrix::global5().worst_one_way());
     assert!(recommended > Duration::from_millis(1));
+}
+
+/// Runs three event-driven LAN members (20 ms time silence, so a 280 ms
+/// suspicion timeout): node 0 multicasts at 10 ms, the group is quiet for
+/// `spell`, then node 0 multicasts again. `crash` kills a member at the
+/// given instant. Returns the harness after the run, the roster and the
+/// group.
+fn quiet_spell(
+    ordering: OrderProtocol,
+    spell: Duration,
+    crash: Option<(NodeId, SimTime)>,
+) -> (GcsHarness, Vec<NodeId>, GroupId) {
+    let mut h = GcsHarness::new(SimConfig::lan(31));
+    let roster = h.add_nodes(Site::Lan, 3);
+    let group = GroupId::new("quiet");
+    let config = GroupConfig::peer()
+        .with_ordering(ordering)
+        .with_liveness(Liveness::EventDriven)
+        .with_time_silence(Duration::from_millis(20));
+    assert_eq!(config.suspicion_timeout(), Duration::from_millis(280));
+    h.create_group(SimTime::from_millis(1), &group, &config, &roster);
+    let first = SimTime::from_millis(10);
+    h.multicast(first, roster[0], &group, DeliveryOrder::Total, "before");
+    if let Some((node, at)) = crash {
+        h.sim.schedule_crash(at, node);
+    }
+    let second = first + spell;
+    h.multicast(second, roster[0], &group, DeliveryOrder::Total, "after");
+    h.run_until(second + Duration::from_secs(1));
+    (h, roster, group)
+}
+
+#[test]
+fn a_quiet_spell_longer_than_the_suspicion_timeout_suspects_nobody() {
+    for ordering in [OrderProtocol::Symmetric, OrderProtocol::Asymmetric] {
+        let (h, roster, group) = quiet_spell(ordering, Duration::from_secs(1), None);
+        for &node in &roster {
+            let suspicions = h
+                .node(node)
+                .gcs()
+                .observability()
+                .metrics
+                .counter("ev.suspected");
+            assert_eq!(
+                suspicions, 0,
+                "{ordering:?}: node {node} suspected a member"
+            );
+            assert_eq!(
+                h.views(node, &group).len(),
+                1,
+                "{ordering:?}: node {node} installed a new view"
+            );
+            assert_eq!(
+                h.delivered(node, &group).len(),
+                2,
+                "{ordering:?}: node {node} did not deliver both multicasts"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_member_crashed_during_a_quiet_spell_is_still_excluded() {
+    let crashed = NodeId::from_index(2);
+    let (h, roster, group) = quiet_spell(
+        OrderProtocol::Symmetric,
+        Duration::from_secs(1),
+        Some((crashed, SimTime::from_millis(500))),
+    );
+    for &node in roster.iter().filter(|&&n| n != crashed) {
+        let sizes: Vec<usize> = h.views(node, &group).iter().map(|v| v.len()).collect();
+        assert_eq!(sizes, vec![3, 2], "node {node}: views by size");
+        assert!(!h.views(node, &group)[1].contains(crashed));
+    }
 }
