@@ -139,6 +139,7 @@ pub const SEND_LIKE: &[&str] = &[
     "try_send",
     "send_fanout",
     "write_all",
+    "write_vectored",
     "oneway",
     "oneway_fanout",
     "connect",

@@ -1581,7 +1581,6 @@ impl GcsMember {
         state.joiners.retain(|j| !view.contains(*j));
         state.vc = None;
         state.last_activity = now;
-        state.liveness_running = false;
         state.pending_order.clear();
         state.order_flush_scheduled = false;
         // A newer view supersedes any install this member coordinated
@@ -2457,5 +2456,24 @@ mod tests {
         assert_eq!(m.view_of(&g).unwrap().id(), ViewId(2));
         assert!(idle(&mut m).is_empty());
         assert_eq!(m.observability().metrics.counter("gcs.idle_nulls"), 0);
+    }
+
+    #[test]
+    fn a_view_install_keeps_one_liveness_timer_chain() {
+        let mut m = member_of_three(n(0), OrderProtocol::Symmetric);
+        let g = GroupId::new("g");
+        receive(
+            &mut m,
+            GcsMessage::Install {
+                group: g.clone(),
+                attempt: 1,
+                view: View::new(g.clone(), ViewId(2), vec![n(0), n(1)]),
+                msgs: Vec::new(),
+            },
+        );
+        assert_eq!(m.view_of(&g).unwrap().id(), ViewId(2));
+        let routes = |kind| m.timer_routes.values().filter(|r| r.kind == kind).count();
+        assert_eq!(routes(TimerKind::Null), 1, "one null timer chain");
+        assert_eq!(routes(TimerKind::Suspicion), 1, "one suspicion timer chain");
     }
 }

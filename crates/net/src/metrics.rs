@@ -1,7 +1,8 @@
 //! Per-node protocol metrics.
 //!
 //! A [`MetricRegistry`] holds named monotonic counters, point-in-time
-//! gauges, and latency histograms (reusing [`crate::stats::Histogram`]).
+//! gauges, and latency histograms ([`LatencyWindow`]: exact count, mean
+//! and maximum, percentiles over the newest [`LATENCY_WINDOW`] samples).
 //! It has no dependencies and no background machinery: protocol code
 //! bumps counters inline, and callers take a [`MetricsSnapshot`] when
 //! they want to read or print the numbers.
@@ -12,13 +13,86 @@
 //! counter, so aggregate event counts stay exact even after the trace
 //! ring has dropped old records.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
 use crate::stats::Histogram;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceLog};
+
+/// How many of the newest samples a [`LatencyWindow`] keeps for its
+/// percentiles.
+pub const LATENCY_WINDOW: usize = 4096;
+
+/// One latency histogram of a [`MetricRegistry`]. The count, the sum and
+/// the maximum cover every sample recorded; the percentiles cover the
+/// newest [`LATENCY_WINDOW`] samples. A long-lived node records one sample
+/// per completed call, so its memory and the cost of a snapshot stay
+/// bounded. (The experiment harness keeps every sample in a
+/// [`Histogram`].)
+#[derive(Clone, Debug, Default)]
+pub struct LatencyWindow {
+    count: usize,
+    total_nanos: u128,
+    max: Duration,
+    recent: VecDeque<Duration>,
+}
+
+impl LatencyWindow {
+    /// Records one sample, dropping the oldest kept one once the window
+    /// is full.
+    pub fn record(&mut self, sample: Duration) {
+        self.count += 1;
+        self.total_nanos += sample.as_nanos();
+        self.max = self.max.max(sample);
+        if self.recent.len() == LATENCY_WINDOW {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(sample);
+    }
+
+    /// Samples kept for the percentiles: the newest, at most
+    /// [`LATENCY_WINDOW`].
+    #[must_use]
+    pub fn retained(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// Folds another window into this one: counts and sums add, the
+    /// larger maximum wins, and the other's kept samples follow this
+    /// one's, trimmed to the newest [`LATENCY_WINDOW`].
+    pub fn merge(&mut self, other: &LatencyWindow) {
+        self.count += other.count;
+        self.total_nanos += other.total_nanos;
+        self.max = self.max.max(other.max);
+        self.recent.extend(other.recent.iter().copied());
+        let excess = self.recent.len().saturating_sub(LATENCY_WINDOW);
+        self.recent.drain(..excess);
+    }
+
+    /// The window's five-number summary.
+    #[must_use]
+    pub fn summary(&self) -> LatencySummary {
+        let mut kept = Histogram::new();
+        for &sample in &self.recent {
+            kept.record(sample);
+        }
+        let mean = if self.count == 0 {
+            Duration::ZERO
+        } else {
+            let nanos = self.total_nanos / self.count as u128;
+            Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+        };
+        LatencySummary {
+            count: self.count,
+            mean,
+            p50: kept.quantile(0.50),
+            p99: kept.quantile(0.99),
+            max: self.max,
+        }
+    }
+}
 
 /// Named counters, gauges, and latency histograms for one node.
 ///
@@ -28,7 +102,7 @@ use crate::trace::{TraceEvent, TraceLog};
 pub struct MetricRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
-    latencies: BTreeMap<String, Histogram>,
+    latencies: BTreeMap<String, LatencyWindow>,
 }
 
 impl MetricRegistry {
@@ -80,7 +154,7 @@ impl MetricRegistry {
 
     /// The named latency histogram, if any samples were recorded.
     #[must_use]
-    pub fn latency(&self, name: &str) -> Option<&Histogram> {
+    pub fn latency(&self, name: &str) -> Option<&LatencyWindow> {
         self.latencies.get(name)
     }
 
@@ -90,7 +164,7 @@ impl MetricRegistry {
     }
 
     /// Folds another registry into this one: counters add, gauges take
-    /// the other's value, histograms concatenate samples.
+    /// the other's value, histograms merge ([`LatencyWindow::merge`]).
     pub fn merge(&mut self, other: &MetricRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -112,26 +186,16 @@ impl MetricRegistry {
             latencies: self
                 .latencies
                 .iter()
-                .map(|(name, h)| {
-                    let mut h = h.clone();
-                    (
-                        name.clone(),
-                        LatencySummary {
-                            count: h.len(),
-                            mean: h.mean(),
-                            p50: h.quantile(0.50),
-                            p99: h.quantile(0.99),
-                            max: h.max(),
-                        },
-                    )
-                })
+                .map(|(name, h)| (name.clone(), h.summary()))
                 .collect(),
         }
     }
 }
 
-/// Five-number summary of one latency histogram in a snapshot. All
-/// durations are zero when the histogram held no samples.
+/// Five-number summary of one latency histogram in a snapshot: `count`,
+/// `mean` and `max` over every sample, `p50` and `p99` over the newest
+/// [`LATENCY_WINDOW`]. All durations are zero when the histogram held no
+/// samples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencySummary {
     /// Samples recorded.
@@ -276,7 +340,34 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.latency("l").unwrap().len(), 2);
+        assert_eq!(a.latency("l").unwrap().summary().count, 2);
+    }
+
+    #[test]
+    fn a_latency_histogram_keeps_a_bounded_window_and_exact_totals() {
+        const SAMPLES: u64 = 10_000;
+        let mut m = MetricRegistry::new();
+        for us in 1..=SAMPLES {
+            m.record_latency("l", Duration::from_micros(us));
+        }
+        assert_eq!(m.latency("l").unwrap().retained(), LATENCY_WINDOW);
+        let l = m.snapshot().latencies["l"];
+        assert_eq!(l.count, SAMPLES as usize);
+        // The mean of 1..=10,000 us is 5,000.5 us.
+        assert_eq!(l.mean, Duration::from_nanos(5_000_500));
+        assert_eq!(l.max, Duration::from_micros(SAMPLES));
+        // The percentiles cover the newest 4096 samples: 5,905..=10,000 us.
+        assert_eq!(l.p50, Duration::from_micros(7_953));
+
+        // Merging keeps the totals exact and the window bounded.
+        let mut other = MetricRegistry::new();
+        other.record_latency("l", Duration::from_secs(1));
+        m.merge(&other);
+        let merged = m.latency("l").unwrap();
+        assert_eq!(merged.retained(), LATENCY_WINDOW);
+        let l = merged.summary();
+        assert_eq!(l.count, SAMPLES as usize + 1);
+        assert_eq!(l.max, Duration::from_secs(1));
     }
 
     #[test]

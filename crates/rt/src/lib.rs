@@ -20,6 +20,14 @@
 //! records and announces the node's clock in symmetric groups that wait
 //! on it. Every GCS message leaves as its own frame during the event that
 //! produced it.
+//!
+//! A frame the node addresses to itself (a member's copy of its own
+//! multicast, the paper's local message) never reaches the transport.
+//! The loop feeds it to [`Nso::on_packet`] right after the entry point
+//! that sent it, before it takes its next event or runs the idle work,
+//! as the simulator's in-process loopback does. It costs no socket, no
+//! reader thread and no ingress hop, and it cannot be shed or lost.
+//!
 //! Applications drive the node through a [`NodeHandle`]:
 //! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
 //! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /
@@ -43,10 +51,11 @@
 #![forbid(unsafe_code)]
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use newtop_flow::FlowConfig;
 
@@ -214,7 +223,9 @@ impl NodeRuntime {
     ///
     /// The node runs two threads: the event loop `nso-{node}` and the
     /// ingress thread `newtop-rt-ingress-{node}`, which decodes GCS
-    /// frames off the loop (see the crate docs).
+    /// frames off the loop (see the crate docs). The transport may add
+    /// its own (the TCP transport reads each inbound connection on one).
+    /// Frames the node addresses to itself never reach `transport`.
     pub fn spawn<T: WireTransport>(
         transport: T,
         incoming: Receiver<Packet>,
@@ -288,10 +299,15 @@ impl Ord for TimerEntry {
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// The event loop's side of the NSO: the transport its outboxes go to,
-/// its timer wheel, and the application's output queue.
+/// the frames it sends itself, its timer wheel, and the application's
+/// output queue.
 struct Host<'a> {
+    node: NodeId,
     transport: &'a dyn WireTransport,
     outputs: &'a Sender<NsoOutput>,
+    /// Frames the node addressed to itself, oldest first, waiting for
+    /// [`Host::drain_loopback`].
+    loopback: VecDeque<Bytes>,
     start: Instant,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     cancelled: HashSet<TimerId>,
@@ -304,9 +320,16 @@ impl Host<'_> {
         SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
 
+    /// Runs one NSO entry point, then every frame it addressed to the
+    /// node itself (see [`Host::drain_loopback`]).
+    fn run(&mut self, nso: &mut Nso, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
+        self.run_step(nso, f);
+        self.drain_loopback(nso);
+    }
+
     /// Runs one NSO entry point against a fresh outbox, applies the
     /// outbox and forwards the NSO's outputs.
-    fn run(&mut self, nso: &mut Nso, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
+    fn run_step(&mut self, nso: &mut Nso, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
         let mut out = Outbox::detached(self.next_outbox_timer);
         f(nso, self.now(), &mut out);
         self.apply_outbox(out);
@@ -314,6 +337,21 @@ impl Host<'_> {
             // Never block the event loop on a slow consumer: shed instead
             // (counted in the queue's stats).
             let _ = self.outputs.try_send(o);
+        }
+    }
+
+    /// Feeds the node's frames to itself through [`Nso::on_packet`],
+    /// oldest first, until none is left. A frame that makes the node send
+    /// to itself again appends to the same queue, so this loops rather
+    /// than recurses.
+    fn drain_loopback(&mut self, nso: &mut Nso) {
+        while let Some(payload) = self.loopback.pop_front() {
+            let pkt = Packet {
+                src: self.node,
+                dst: self.node,
+                payload,
+            };
+            self.run_step(nso, |nso, now, out| nso.on_packet(&pkt, now, out));
         }
     }
 
@@ -336,6 +374,10 @@ impl Host<'_> {
             }));
         }
         for (dst, payload) in parts.sends {
+            if dst == self.node {
+                self.loopback.push_back(payload);
+                continue;
+            }
             // Best effort: the protocol layers handle loss via NACKs and
             // suspicion.
             let _ = self.transport.send(dst, payload);
@@ -384,8 +426,10 @@ fn event_loop(
 ) {
     let mut nso = Nso::new(node);
     let mut host = Host {
+        node,
         transport,
         outputs,
+        loopback: VecDeque::new(),
         start: Instant::now(),
         timers: BinaryHeap::new(),
         cancelled: HashSet::new(),
@@ -422,12 +466,12 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use newtop::nso::BindOptions;
-    use newtop_gcs::group::{GroupConfig, GroupId};
+    use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
     use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
     use newtop_net::channel::ChannelNetwork;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use newtop_net::transport::TransportError;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn spawn_cluster(n: usize, opts: &RuntimeOptions) -> Vec<NodeHandle> {
@@ -595,6 +639,83 @@ mod tests {
         assert_eq!(replies.len(), 2);
         for h in nodes {
             h.shutdown();
+        }
+    }
+
+    /// A transport that counts the frames its node addresses to itself.
+    struct CountSelfSends<T> {
+        inner: T,
+        to_self: Arc<AtomicUsize>,
+    }
+
+    impl<T: WireTransport> WireTransport for CountSelfSends<T> {
+        fn local(&self) -> NodeId {
+            self.inner.local()
+        }
+
+        fn send(&self, dst: NodeId, payload: Bytes) -> Result<(), TransportError> {
+            if dst == self.inner.local() {
+                self.to_self.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.send(dst, payload)
+        }
+    }
+
+    #[test]
+    fn a_node_delivers_its_own_frames_without_its_transport() {
+        for size in [1u32, 2] {
+            let net = ChannelNetwork::new();
+            let to_self = Arc::new(AtomicUsize::new(0));
+            let members: Vec<NodeId> = (0..size).map(NodeId::from_index).collect();
+            let nodes: Vec<NodeHandle> = members
+                .iter()
+                .map(|&id| {
+                    let (inner, incoming) = net.endpoint(id);
+                    let transport = CountSelfSends {
+                        inner,
+                        to_self: Arc::clone(&to_self),
+                    };
+                    NodeRuntime::spawn(transport, incoming, RuntimeOptions::new())
+                })
+                .collect();
+            let group = GroupId::new("peers");
+            for node in &nodes {
+                let (group, members) = (group.clone(), members.clone());
+                node.with_nso(move |nso, now, out| {
+                    nso.create_peer_group(group, members, GroupConfig::peer(), now, out)
+                        .unwrap();
+                });
+            }
+            for node in &nodes {
+                let group = group.clone();
+                node.with_nso(move |nso, now, out| {
+                    let peer = nso.handle_for(&group).unwrap();
+                    peer.send(
+                        nso,
+                        Bytes::from_static(b"m"),
+                        DeliveryOrder::Total,
+                        now,
+                        out,
+                    )
+                    .unwrap();
+                });
+            }
+            for node in &nodes {
+                for _ in 0..size {
+                    node.wait_for_output(Duration::from_secs(10), |o| {
+                        matches!(o, NsoOutput::PeerDeliver { .. })
+                    })
+                    .unwrap_or_else(|| panic!("{} delivers every multicast", node.node()));
+                }
+            }
+            assert_eq!(
+                to_self.load(Ordering::SeqCst),
+                0,
+                "{size}-member group: frames to self went to the transport"
+            );
+            for node in nodes {
+                node.shutdown();
+            }
         }
     }
 }

@@ -113,6 +113,18 @@ for workload in invoke-open peer-total invoke-closed; do
             exit 1
             ;;
     esac
+    # invoke-open and peer-total fail no op. invoke-closed loses calls
+    # to its send window's starvation (ROADMAP item 2), so it is held to
+    # correctness only.
+    if [ "$workload" != invoke-closed ]; then
+        case "$perfbench_last" in
+            *'"failed": 0,'*) ;;
+            *)
+                echo "ERROR: perfbench $workload smoke failed ops: $perfbench_last" >&2
+                exit 1
+                ;;
+        esac
+    fi
 done
 if ! git diff --quiet -- perfbench/Cargo.lock; then
     echo "ERROR: building perfbench rewrote perfbench/Cargo.lock; a dependency of a crate it builds changed" >&2
