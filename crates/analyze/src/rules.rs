@@ -81,11 +81,12 @@ pub const ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
 ];
 
 /// Worker event handlers (rules 2 and 8): the functions the `newtop-rt`
-/// event loop and `newtop-rt-ingress-{node}` thread invoke per
-/// packet/timer/frame, and whenever the loop's queue runs empty.
-/// Everything reachable from these runs on a runtime thread with the
-/// whole node behind it: a panic kills the node, a blocking call stalls
-/// every group the node serves.
+/// event loop invokes per packet and timer, and whenever its queues run
+/// empty. `on_gcs_message` (now private, reached through `on_packet`)
+/// and `decode_gcs_frame` (which no host calls any more) stay listed,
+/// so no rule loses a seed. Everything reachable from these runs on the
+/// runtime thread with the whole node behind it: a panic kills the
+/// node, a blocking call stalls every group the node serves.
 pub const WORKER_ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("Nso"), Some("on_packet")),
     (Some("Nso"), Some("on_timer")),
@@ -985,9 +986,9 @@ fn path_call_any(toks: &[Token], i: usize) -> bool {
 
 /// Blocking-in-worker: no sleep, file I/O, fsync, condvar wait,
 /// thread join, or foreign blocking recv anywhere reachable from the
-/// worker event handlers. The `newtop-rt` loops themselves block
-/// on their own ingress queues by design — those loop bodies are not
-/// seeds; the handlers they invoke are.
+/// worker event handlers. The `newtop-rt` event loop itself blocks on
+/// the doorbell of its own command queue and inbox by design — that
+/// loop body is not a seed; the handlers it invokes are.
 fn blocking_in_worker(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
     // Traversal stays inside the sans-IO protocol stack (the dependency
     // closure of the worker entry points' crates). The threaded

@@ -1546,29 +1546,25 @@ impl Nso {
         }
     }
 
-    /// Feeds a GCS protocol message the host already decoded off the
-    /// wire — the ingress path for runtimes that parse frames off the
-    /// event loop (see [`Nso::decode_gcs_frame`]). Feeding a frame's
-    /// message is equivalent to [`Nso::on_packet`] on the frame itself.
-    pub fn on_gcs_message(&mut self, msg: GcsMessage, now: SimTime, out: &mut Outbox) {
+    /// Feeds one decoded GCS protocol message, the GCS half of
+    /// [`Nso::on_packet`].
+    fn on_gcs_message(&mut self, msg: GcsMessage, now: SimTime, out: &mut Outbox) {
         let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
             self.gcs.on_message(msg, now, net)
         });
         self.route_gcs(outs, now, out);
     }
 
-    /// Pre-decodes a wire frame when it is a oneway GCS protocol
-    /// message: returns the frame's one [`GcsMessage`] if the frame is a
+    /// Decodes a wire frame when it is a oneway GCS protocol message:
+    /// returns the frame's one [`GcsMessage`] if the frame is a
     /// well-formed oneway `GCS_OPERATION` request for the NSO endpoint,
     /// and `None` otherwise. Every frame carries exactly one message;
     /// the vector keeps the signature trace decoders already call.
     ///
-    /// This is the CPU-heavy part of packet ingress, and it is pure —
-    /// a host may run it on its ingress thread, off the event loop, and
-    /// feed the results to [`Nso::on_gcs_message`]. Frames it declines
-    /// (replies, control traffic, invocation messages, malformed bodies)
-    /// must be fed to [`Nso::on_packet`] unchanged so their accounting
-    /// still happens.
+    /// It is pure and makes the same decode [`Nso::on_packet`] makes,
+    /// so a tool that reads captured frames (a trace decoder, a test)
+    /// can see which GCS messages they carried. Hosts do not call it:
+    /// they feed every packet, GCS or not, to [`Nso::on_packet`].
     #[must_use]
     pub fn decode_gcs_frame(payload: &[u8]) -> Option<Vec<GcsMessage>> {
         let Ok(GiopMessage::Request {
@@ -1593,8 +1589,8 @@ impl Nso {
     /// group where this member has received total-order data stamped
     /// past its own last data or null.
     ///
-    /// A threaded host calls this whenever its event queue runs empty,
-    /// before it blocks. Under load the queue is not empty, so order
+    /// A threaded host calls this whenever it runs out of commands and
+    /// packets, before it blocks. Under load it does not, so order
     /// records still aggregate across events and members announce their
     /// clocks through their own data; the order-record interval and the
     /// time-silence period stay the upper bounds. The simulator never

@@ -14,6 +14,11 @@
 //!   producer until space frees (counted in [`QueueStats::blocked`]).
 //!   Used where the producer can afford to wait and loss is worse than
 //!   latency (the TCP reader thread).
+//!
+//! A [`Doorbell`] lets one consumer wait on several queues at once: set
+//! on each queue's [`Receiver`], it rings on every push to any of them.
+//! The threaded runtime's event loop waits this way on its command queue
+//! and its transport inbox.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,10 +129,110 @@ impl QueueStats {
     }
 }
 
+/// A wake-up that several queues share, so that one consumer can wait
+/// on all of them at once.
+///
+/// [`Receiver::set_doorbell`] sets it on a queue that already exists.
+/// From then on every push to that queue, and the drop of its last
+/// sender, rings the bell. A ring is kept until a wait takes it, so a
+/// push that lands between the consumer's last empty
+/// [`Receiver::try_recv`] and its [`Doorbell::wait_for_ring`] is not lost:
+/// that wait returns at once. The price is a wake-up now and then that
+/// finds nothing new, when the consumer had already taken the message
+/// whose push rang.
+///
+/// The bell's lock nests inside a queue's lock (a push rings it with
+/// the queue locked); the bell never takes a queue's lock.
+#[derive(Clone)]
+pub struct Doorbell {
+    bell: Arc<Bell>,
+}
+
+struct Bell {
+    state: Mutex<BellState>,
+    wake: Condvar,
+}
+
+struct BellState {
+    /// Rung since a wait last took a ring.
+    rung: bool,
+    /// Consumers blocked in [`Doorbell::wait_for_ring`]. A ring notifies
+    /// the condvar only when there is one, so a push to a busy
+    /// consumer's queue costs no wake-up call.
+    waiters: usize,
+}
+
+impl Doorbell {
+    /// A bell that has not rung.
+    #[must_use]
+    pub fn new() -> Self {
+        Doorbell {
+            bell: Arc::new(Bell {
+                state: Mutex::new(BellState {
+                    rung: false,
+                    waiters: 0,
+                }),
+                wake: Condvar::new(),
+            }),
+        }
+    }
+
+    fn ring(&self) {
+        let mut state = self.bell.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.rung = true;
+        if state.waiters > 0 {
+            self.bell.wake.notify_one();
+        }
+    }
+
+    /// Blocks until the bell rings, for at most `timeout` (`None` waits
+    /// for a ring alone), and says whether it rang. A ring that came
+    /// since the last wait took one ends this wait at once, and a wait
+    /// that returns `true` takes the ring. A timed wait may also end
+    /// early without a ring (the condvar woke spuriously); its caller
+    /// looks at its queues again either way.
+    pub fn wait_for_ring(&self, timeout: Option<Duration>) -> bool {
+        let mut state = self.bell.state.lock().unwrap_or_else(|e| e.into_inner());
+        if !state.rung {
+            state.waiters += 1;
+            state = match timeout {
+                None => {
+                    while !state.rung {
+                        state = self
+                            .bell
+                            .wake
+                            .wait(state)
+                            .unwrap_or_else(|e| e.into_inner());
+                    }
+                    state
+                }
+                Some(left) => {
+                    self.bell
+                        .wake
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+            state.waiters -= 1;
+        }
+        std::mem::replace(&mut state.rung, false)
+    }
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Doorbell::new()
+    }
+}
+
 struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Rung on every push and on the last sender's drop
+    /// ([`Receiver::set_doorbell`]).
+    bell: Option<Doorbell>,
 }
 
 struct Shared<T> {
@@ -148,6 +253,9 @@ impl<T> Shared<T> {
         let depth = inner.queue.len() as u64;
         self.stats.peak_depth.fetch_max(depth, Ordering::Relaxed);
         self.not_empty.notify_one();
+        if let Some(bell) = &inner.bell {
+            bell.ring();
+        }
     }
 }
 
@@ -170,6 +278,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receivers: 1,
+            bell: None,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -198,7 +307,11 @@ impl<T> Drop for Sender<T> {
         let mut inner = self.shared.lock();
         inner.senders -= 1;
         if inner.senders == 0 {
-            // Wake receivers so they observe the disconnect.
+            // Wake receivers, and the consumer waiting on the doorbell,
+            // so they observe the disconnect.
+            if let Some(bell) = &inner.bell {
+                bell.ring();
+            }
             drop(inner);
             self.shared.not_empty.notify_all();
         }
@@ -354,6 +467,15 @@ impl<T> Receiver<T> {
         Err(TryRecvError::Empty)
     }
 
+    /// Rings `bell` on every later push to this queue and when its last
+    /// sender drops, so that one consumer can wait on this queue and
+    /// others at once (see [`Doorbell`]). Replaces the bell set before,
+    /// if any. A message queued before the call does not ring, so the
+    /// consumer takes what is queued before it first waits.
+    pub fn set_doorbell(&self, bell: &Doorbell) {
+        self.shared.lock().bell = Some(bell.clone());
+    }
+
     /// Drains currently queued messages without blocking.
     pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
         std::iter::from_fn(move || self.try_recv().ok())
@@ -496,6 +618,63 @@ mod tests {
         drop(tx);
         drop(tx2);
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn a_doorbell_keeps_a_ring_that_races_the_emptiness_check() {
+        let bell = Doorbell::new();
+        let (tx, rx) = bounded::<u32>(4);
+        rx.set_doorbell(&bell);
+        let soon = Some(Duration::from_millis(5));
+        assert!(!bell.wait_for_ring(soon), "nothing has rung yet");
+        // The push lands after the consumer found the queue empty and
+        // before it waits: the wait must return at once.
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.try_send(1).unwrap();
+        assert!(bell.wait_for_ring(None));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert!(!bell.wait_for_ring(soon), "the wait took the ring");
+        // The last sender's drop rings too, so the consumer sees the
+        // disconnect.
+        drop(tx);
+        assert!(bell.wait_for_ring(None));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_doorbell_wakes_a_consumer_of_two_queues_for_a_push_to_either() {
+        let bell = Doorbell::new();
+        let (tx_a, rx_a) = bounded::<u32>(4);
+        let (tx_b, rx_b) = bounded::<u32>(4);
+        rx_a.set_doorbell(&bell);
+        rx_b.set_doorbell(&bell);
+        // The producer hands its senders back, so no disconnect rings:
+        // only the pushes can wake the consumer.
+        let producer = thread::spawn(move || {
+            for i in 0..50 {
+                tx_a.send(2 * i).unwrap();
+                thread::yield_now();
+                tx_b.send(2 * i + 1).unwrap();
+            }
+            (tx_a, tx_b)
+        });
+        let mut got = Vec::new();
+        while got.len() < 100 {
+            let mut idle = true;
+            for rx in [&rx_a, &rx_b] {
+                if let Ok(v) = rx.try_recv() {
+                    got.push(v);
+                    idle = false;
+                }
+            }
+            if idle {
+                // A lost push leaves the consumer waiting for good.
+                bell.wait_for_ring(None);
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, (0..100).collect::<Vec<u32>>());
+        drop(producer.join().unwrap());
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //!    delivered message or a counted shed; none vanish.
 //! 3. **Depth bound** — the queue never holds more than `capacity`
 //!    messages, no matter how sends and receives interleave.
+//! 4. **No lost doorbell** — a consumer waiting on the doorbell of two
+//!    queues wakes for a push to either.
+//!
+//! `scripts/check.sh`'s quick gate runs property 4 alone, at 64
+//! iterations on the debug build.
 
 #![cfg(loom)]
 
 use std::time::Duration;
 
-use newtop_flow::queue::{bounded, RecvTimeoutError, TrySendError};
+use newtop_flow::queue::{bounded, Doorbell, RecvTimeoutError, TrySendError};
 
 /// Property 1a: backpressured producers always finish once the consumer
 /// drains — a lost `not_full` wakeup would deadlock this test.
@@ -136,5 +141,45 @@ fn loom_depth_never_exceeds_capacity() {
             "depth {} exceeded capacity 2",
             stats.peak_depth()
         );
+    });
+}
+
+/// Property 4: a consumer that waits on the doorbell of two queues wakes
+/// for a push to either, including a push that lands between its last
+/// empty `try_recv` and its wait — a lost wakeup hangs this test. The
+/// producers hand their senders back, so no disconnect rings the bell:
+/// only the pushes can wake the consumer.
+#[test]
+fn loom_doorbell_wakes_a_consumer_of_two_queues() {
+    loom::model(|| {
+        let bell = Doorbell::new();
+        let (tx_a, rx_a) = bounded::<u32>(2);
+        let (tx_b, rx_b) = bounded::<u32>(2);
+        rx_a.set_doorbell(&bell);
+        rx_b.set_doorbell(&bell);
+        let producers = [(tx_a, 1u32), (tx_b, 2)].map(|(tx, v)| {
+            loom::thread::spawn(move || {
+                tx.try_send(v).unwrap();
+                tx
+            })
+        });
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            let mut idle = true;
+            for rx in [&rx_a, &rx_b] {
+                if let Ok(v) = rx.try_recv() {
+                    got.push(v);
+                    idle = false;
+                }
+            }
+            if idle {
+                bell.wait_for_ring(None);
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+        for p in producers {
+            drop(p.join().unwrap());
+        }
     });
 }

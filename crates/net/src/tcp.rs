@@ -14,7 +14,8 @@
 //!
 //! Each endpoint runs an accept loop and one reader thread (`tcp-read`)
 //! per inbound connection; outgoing connections are opened lazily per
-//! peer and cached. An endpoint can send to itself like to any peer, but
+//! peer and cached. Shutdown closes both kinds, so no reader delivers a
+//! frame after it. An endpoint can send to itself like to any peer, but
 //! `newtop-rt` delivers a node's frames to itself in-process and never
 //! asks. Reliability beyond TCP's own (reconnection, retransmission
 //! across connection loss) belongs to the protocol layers above, which
@@ -46,6 +47,10 @@ struct Shared {
     local: NodeId,
     peers: Mutex<HashMap<NodeId, SocketAddr>>,
     conns: Mutex<HashMap<NodeId, ConnSlot>>,
+    /// A clone of each inbound connection whose reader runs, by the
+    /// accept loop's connection number, so that shutdown can unblock
+    /// those readers. A reader removes its own on exit.
+    inbound: Mutex<HashMap<u64, TcpStream>>,
     closed: AtomicBool,
 }
 
@@ -61,6 +66,13 @@ impl Shared {
             .into_values()
             .filter_map(|slot| slot.lock().take())
             .collect()
+    }
+
+    /// Empties the inbound table and returns its sockets, so the caller
+    /// closes them with no lock held.
+    fn take_inbound(&self) -> Vec<TcpStream> {
+        let drained = std::mem::take(&mut *self.inbound.lock());
+        drained.into_values().collect()
     }
 }
 
@@ -111,6 +123,7 @@ impl TcpEndpoint {
             local,
             peers: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
+            inbound: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
@@ -143,8 +156,10 @@ impl TcpEndpoint {
         }
     }
 
-    /// Stops the endpoint: closes cached connections and unblocks the
-    /// accept loop. Idempotent; also performed on drop.
+    /// Stops the endpoint: closes its connections both ways and stops
+    /// the accept loop. Each reader thread then exits without delivering
+    /// another frame, so once they have all gone the inbox reports
+    /// disconnected. Idempotent; also performed on drop.
     pub fn shutdown(&mut self) {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -158,6 +173,12 @@ impl TcpEndpoint {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        // The accept loop has stopped, so no reader starts after this:
+        // shutting each inbound socket down ends its reader's blocked
+        // read.
+        for conn in self.shared.take_inbound() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -168,7 +189,7 @@ impl Drop for TcpEndpoint {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, incoming: &Sender<Packet>) {
-    loop {
+    for id in 0u64.. {
         let Ok((stream, _)) = listener.accept() else {
             if shared.closed.load(Ordering::SeqCst) {
                 return;
@@ -178,20 +199,30 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, incoming: &Sender<P
         if shared.closed.load(Ordering::SeqCst) {
             return;
         }
-        let shared = Arc::clone(shared);
-        let incoming = incoming.clone();
-        let _ = std::thread::Builder::new()
-            .name(format!("tcp-read-{}", shared.local))
-            .spawn(move || read_loop(stream, &shared, &incoming));
+        // A connection that cannot be cloned could not be closed on
+        // shutdown: refuse it. The peer reconnects at its next send.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        shared.inbound.lock().insert(id, clone);
+        let reader = {
+            let (shared, incoming) = (Arc::clone(shared), incoming.clone());
+            std::thread::Builder::new()
+                .name(format!("tcp-read-{}", shared.local))
+                .spawn(move || {
+                    read_loop(stream, &shared, &incoming);
+                    shared.inbound.lock().remove(&id);
+                })
+        };
+        if reader.is_err() {
+            shared.inbound.lock().remove(&id);
+        }
     }
 }
 
 fn read_loop(mut stream: TcpStream, shared: &Arc<Shared>, incoming: &Sender<Packet>) {
     let mut header = [0u8; 8];
     loop {
-        if shared.closed.load(Ordering::SeqCst) {
-            return;
-        }
         if stream.read_exact(&mut header).is_err() {
             return;
         }
@@ -205,6 +236,10 @@ fn read_loop(mut stream: TcpStream, shared: &Arc<Shared>, incoming: &Sender<Pack
         }
         let mut payload = vec![0u8; len as usize];
         if stream.read_exact(&mut payload).is_err() {
+            return;
+        }
+        // A frame that was read as the endpoint shut down stays undelivered.
+        if shared.closed.load(Ordering::SeqCst) {
             return;
         }
         let pkt = Packet {
@@ -306,7 +341,7 @@ fn write_frame(out: &mut impl Write, header: &[u8], payload: &[u8]) -> std::io::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newtop_flow::queue::bounded;
+    use newtop_flow::queue::{bounded, RecvTimeoutError};
     use std::time::Duration;
 
     fn ephemeral() -> SocketAddr {
@@ -375,6 +410,30 @@ mod tests {
             h.send(NodeId::from_index(1), Bytes::new()),
             Err(TransportError::Closed)
         ));
+    }
+
+    #[test]
+    fn a_shut_down_endpoint_delivers_nothing_more_and_closes_its_inbox() {
+        let (a_id, b_id) = (NodeId::from_index(0), NodeId::from_index(1));
+        let (tx_a, rx_a) = inbox();
+        let (tx_b, _rx_b) = inbox();
+        let mut a = TcpEndpoint::bind(a_id, ephemeral(), tx_a).unwrap();
+        let b = TcpEndpoint::bind(b_id, ephemeral(), tx_b).unwrap();
+        b.register_peer(a_id, a.local_addr());
+        let to_a = b.handle();
+        // A reader thread of `a` now serves a live connection from `b`.
+        to_a.send(a_id, Bytes::from_static(b"before")).unwrap();
+        let pkt = rx_a.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(&pkt.payload[..], b"before");
+        a.shutdown();
+        // `b` still holds its connection; the frame may or may not make
+        // it into the socket, but it must not reach `a`'s inbox.
+        let _ = to_a.send(a_id, Bytes::from_static(b"after"));
+        match rx_a.recv_timeout(Duration::from_secs(1)) {
+            Err(RecvTimeoutError::Disconnected) => {}
+            Ok(pkt) => panic!("a shut-down endpoint delivered {:?}", pkt.payload),
+            Err(RecvTimeoutError::Timeout) => panic!("the inbox did not close within 1 s"),
+        }
     }
 
     /// Frame `round` of `sender`, `size` bytes of a pattern both depend on.

@@ -6,27 +6,25 @@
 //! [`newtop_net::tcp::TcpEndpoint`]), so the runnable examples are
 //! genuinely concurrent programs rather than simulations.
 //!
-//! Each node runs two threads. The ingress thread
-//! (`newtop-rt-ingress-{node}`) takes packets off the transport in
-//! arrival order and decodes GCS frames ([`Nso::decode_gcs_frame`],
-//! the CPU-heavy part of ingress); other packets pass through
-//! undecoded. The event loop (`nso-{node}`) waits
-//! on one bounded queue. That queue carries the ingress thread's frames
-//! and packets, application commands and the stop event. The loop blocks
-//! on it until its next timer deadline, so it wakes when work arrives
-//! rather than on a poll, and applies everything to the node's one
-//! protocol engine. Whenever the queue runs empty, the loop first runs
-//! the NSO's idle work ([`Nso::on_idle`]): it sends held sequencer order
-//! records and announces the node's clock in symmetric groups that wait
-//! on it. Every GCS message leaves as its own frame during the event that
-//! produced it.
+//! Each node runs one thread, its event loop (`nso-{node}`). The loop is
+//! the only consumer of two bounded queues: the transport's inbox, whose
+//! packets it feeds to [`Nso::on_packet`] in arrival order, and its
+//! command queue ([`NodeHandle::with_nso`]). A push to either rings one
+//! [`Doorbell`], so the loop blocks in one place until work arrives or
+//! its next timer is due, rather than polling. Each turn fires the due
+//! timers and takes at most one command and one packet, so a burst on
+//! one queue does not hold up the other. Whenever both queues are empty,
+//! the loop first runs the NSO's idle work ([`Nso::on_idle`]): it sends
+//! held sequencer order records and announces the node's clock in
+//! symmetric groups that wait on it. Every GCS message leaves as its own
+//! frame during the event that produced it.
 //!
 //! A frame the node addresses to itself (a member's copy of its own
 //! multicast, the paper's local message) never reaches the transport.
 //! The loop feeds it to [`Nso::on_packet`] right after the entry point
-//! that sent it, before it takes its next event or runs the idle work,
-//! as the simulator's in-process loopback does. It costs no socket, no
-//! reader thread and no ingress hop, and it cannot be shed or lost.
+//! that sent it, before it takes its next command or packet or runs the
+//! idle work, as the simulator's in-process loopback does. It costs no
+//! socket and no reader thread, and it cannot be shed or lost.
 //!
 //! Applications drive the node through a [`NodeHandle`]:
 //! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
@@ -56,11 +54,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use newtop_flow::queue::{bounded, Doorbell, QueueStats, Receiver, Sender, TryRecvError};
 use newtop_flow::FlowConfig;
 
 use newtop::nso::{Nso, NsoOutput};
-use newtop_gcs::messages::GcsMessage;
 use newtop_net::sim::{Outbox, Packet, TimerId};
 use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
@@ -68,7 +65,7 @@ use newtop_net::transport::WireTransport;
 
 /// Construction options for [`NodeRuntime::spawn`].
 ///
-/// There is nothing to set: every node sizes its event and output
+/// There is nothing to set: every node sizes its command and output
 /// queues from the default [`FlowConfig::queue_capacity`], runs one
 /// protocol engine and sends every GCS message as its own frame. The
 /// read-only accessors below report the last two facts.
@@ -99,26 +96,15 @@ impl RuntimeOptions {
     }
 }
 
+/// An application command ([`NodeHandle::with_nso`]).
 type Command = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
-
-/// What a node's event loop works on. One bounded queue carries all of
-/// it, so the loop blocks in one place and wakes on whichever comes
-/// first.
-enum Event {
-    /// The decoded GCS message of one frame, from the ingress thread.
-    Gcs(Vec<GcsMessage>),
-    /// Any other packet, as it arrived, from the ingress thread.
-    Raw(Packet),
-    /// An application command ([`NodeHandle::with_nso`]).
-    Command(Command),
-    /// Stop the loop ([`NodeHandle::shutdown`]).
-    Stop,
-}
 
 /// A handle to a node hosted by [`NodeRuntime::spawn`].
 pub struct NodeHandle {
     node: NodeId,
-    events: Sender<Event>,
+    /// The event loop's command queue. The handle holds its only sender,
+    /// so dropping it stops the loop once the queued commands have run.
+    commands: Option<Sender<Command>>,
     outputs: Receiver<NsoOutput>,
     join: Option<JoinHandle<()>>,
 }
@@ -148,10 +134,11 @@ impl NodeHandle {
         F: FnOnce(&mut Nso, SimTime, &mut Outbox) -> R + Send + 'static,
     {
         let (tx, rx) = bounded(1);
-        self.events
-            .send(Event::Command(Box::new(move |nso, now, out| {
+        let commands = self.commands.as_ref().expect("node event loop stopped");
+        commands
+            .send(Box::new(move |nso, now, out| {
                 let _ = tx.send(f(nso, now, out));
-            })))
+            }))
             .expect("node event loop stopped");
         rx.recv().expect("node event loop stopped")
     }
@@ -196,12 +183,10 @@ impl NodeHandle {
     }
 
     fn stop(&mut self) {
-        // The ingress thread holds a sender of the same queue, so
-        // dropping ours would never disconnect it: ask the loop to stop.
-        // Events already queued run first. If the loop has exited, the
-        // queue has no receiver and the send fails at once.
+        // Dropping the command queue's only sender lets the loop run the
+        // commands already queued, see the disconnect and return.
+        self.commands = None;
         if let Some(j) = self.join.take() {
-            let _ = self.events.send(Event::Stop);
             let _ = j.join();
         }
     }
@@ -221,11 +206,12 @@ impl NodeRuntime {
     /// the node via [`WireTransport::local`]), receiving packets from
     /// `incoming`. `RuntimeOptions` has nothing to set (see its docs).
     ///
-    /// The node runs two threads: the event loop `nso-{node}` and the
-    /// ingress thread `newtop-rt-ingress-{node}`, which decodes GCS
-    /// frames off the loop (see the crate docs). The transport may add
-    /// its own (the TCP transport reads each inbound connection on one).
-    /// Frames the node addresses to itself never reach `transport`.
+    /// The node runs one thread, the event loop `nso-{node}`, which is
+    /// `incoming`'s only consumer (see the crate docs). The transport may
+    /// add its own (the TCP transport reads each inbound connection on
+    /// one). Frames the node addresses to itself never reach `transport`.
+    /// Once every sender of `incoming` is gone, the node keeps serving
+    /// [`NodeHandle::with_nso`] without packets.
     pub fn spawn<T: WireTransport>(
         transport: T,
         incoming: Receiver<Packet>,
@@ -233,42 +219,19 @@ impl NodeRuntime {
     ) -> NodeHandle {
         let node = transport.local();
         let capacity = FlowConfig::default().queue_capacity;
-        let (event_tx, event_rx) = bounded::<Event>(capacity);
+        let (command_tx, commands) = bounded::<Command>(capacity);
         let (out_tx, out_rx) = bounded::<NsoOutput>(capacity);
-        spawn_ingress(node, incoming, event_tx.clone());
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
-            .spawn(move || event_loop(node, &transport, &event_rx, &out_tx))
+            .spawn(move || event_loop(node, &transport, &commands, &incoming, &out_tx))
             .expect("failed to spawn node thread");
         NodeHandle {
             node,
-            events: event_tx,
+            commands: Some(command_tx),
             outputs: out_rx,
             join: Some(join),
         }
     }
-}
-
-/// Spawns the ingress thread. It decodes GCS frames so that work stays
-/// off the event loop, and passes every other packet through for
-/// [`Nso::on_packet`]. One thread keeps per-source FIFO order without
-/// further bookkeeping. It exits once the event loop has stopped and
-/// the next packet finds the queue without a receiver.
-fn spawn_ingress(node: NodeId, incoming: Receiver<Packet>, events: Sender<Event>) {
-    std::thread::Builder::new()
-        .name(format!("newtop-rt-ingress-{node}"))
-        .spawn(move || {
-            while let Ok(pkt) = incoming.recv() {
-                let event = match Nso::decode_gcs_frame(&pkt.payload) {
-                    Some(msgs) => Event::Gcs(msgs),
-                    None => Event::Raw(pkt),
-                };
-                if events.send(event).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("failed to spawn ingress thread");
 }
 
 struct TimerEntry {
@@ -294,9 +257,6 @@ impl Ord for TimerEntry {
         (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
     }
 }
-
-/// How long the loop blocks when no timer is armed.
-const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// The event loop's side of the NSO: the transport its outboxes go to,
 /// the frames it sends itself, its timer wheel, and the application's
@@ -405,25 +365,34 @@ impl Host<'_> {
         }
     }
 
-    /// How long the loop may block: until the next timer deadline.
-    fn wait_budget(&self) -> Duration {
-        self.timers.peek().map_or(IDLE_WAIT, |Reverse(t)| {
-            t.deadline.saturating_duration_since(Instant::now())
-        })
+    /// How long the loop may block: until the next timer deadline
+    /// (`None` when no timer is armed: the loop waits for work alone).
+    fn wait_budget(&self) -> Option<Duration> {
+        self.timers
+            .peek()
+            .map(|Reverse(t)| t.deadline.saturating_duration_since(Instant::now()))
     }
 }
 
-/// The node's event loop. Each turn fires the due timers and takes the
-/// next event. When the queue is empty it first sends what the NSO holds
-/// back for company ([`Nso::on_idle`]), then blocks on the queue until
-/// the next timer deadline, so it wakes as soon as work arrives and
-/// spends no CPU while there is none.
+/// The node's event loop, the only consumer of its command queue and
+/// its transport inbox. Each turn fires the due timers, then runs at
+/// most one command and one packet, so that neither queue starves the
+/// other. When both are empty it first sends what the NSO holds back for
+/// company ([`Nso::on_idle`]), then waits on the doorbell both queues
+/// ring until the next timer deadline, so it wakes as soon as work
+/// arrives and spends no CPU while there is none. A closed inbox counts
+/// as empty. The loop returns once the handle has dropped the command
+/// queue's sender and the queued commands have run.
 fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
-    events: &Receiver<Event>,
+    commands: &Receiver<Command>,
+    inbox: &Receiver<Packet>,
     outputs: &Sender<NsoOutput>,
 ) {
+    let bell = Doorbell::new();
+    commands.set_doorbell(&bell);
+    inbox.set_doorbell(&bell);
     let mut nso = Nso::new(node);
     let mut host = Host {
         node,
@@ -438,27 +407,22 @@ fn event_loop(
     };
     loop {
         host.fire_due(&mut nso);
-        let event = match events.try_recv() {
-            Ok(event) => event,
+        let mut idle = true;
+        match commands.try_recv() {
+            Ok(cmd) => {
+                host.run(&mut nso, cmd);
+                idle = false;
+            }
+            Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => return,
-            Err(TryRecvError::Empty) => {
-                host.run(&mut nso, Nso::on_idle);
-                match events.recv_timeout(host.wait_budget()) {
-                    Ok(event) => event,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        };
-        match event {
-            Event::Gcs(msgs) => {
-                for msg in msgs {
-                    host.run(&mut nso, |nso, now, out| nso.on_gcs_message(msg, now, out));
-                }
-            }
-            Event::Raw(pkt) => host.run(&mut nso, |nso, now, out| nso.on_packet(&pkt, now, out)),
-            Event::Command(cmd) => host.run(&mut nso, cmd),
-            Event::Stop => return,
+        }
+        if let Ok(pkt) = inbox.try_recv() {
+            host.run(&mut nso, |nso, now, out| nso.on_packet(&pkt, now, out));
+            idle = false;
+        }
+        if idle {
+            host.run(&mut nso, Nso::on_idle);
+            bell.wait_for_ring(host.wait_budget());
         }
     }
 }
@@ -494,9 +458,9 @@ mod tests {
 
     #[test]
     fn shutdown_joins_while_a_peer_keeps_sending() {
-        // The ingress thread holds a sender of the loop's queue, so a
-        // steady stream of packets never lets that queue disconnect: the
-        // loop has to stop on the stop event.
+        // A steady stream of packets never leaves the inbox empty: the
+        // loop has to stop on its command queue's disconnect, not for
+        // want of work.
         let net = ChannelNetwork::new();
         let me = NodeId::from_index(0);
         let (transport, incoming) = net.endpoint(me);
@@ -529,12 +493,22 @@ mod tests {
         stopper.join().unwrap();
     }
 
+    /// A junk packet from node 1 (the node counts it as malformed).
+    fn junk(to: NodeId) -> Packet {
+        Packet {
+            src: NodeId::from_index(1),
+            dst: to,
+            payload: Bytes::from_static(b"junk"),
+        }
+    }
+
     #[test]
     fn a_command_queued_behind_an_ingress_burst_still_runs() {
         const BURST: usize = 512;
-        let net = ChannelNetwork::new();
         let me = NodeId::from_index(0);
-        let (transport, incoming) = net.endpoint(me);
+        let (transport, _) = ChannelNetwork::new().endpoint(me);
+        // The test's own inbox, so it can fill it and read its depth.
+        let (inbox, incoming) = bounded(FlowConfig::default().queue_capacity);
         let node = Arc::new(NodeRuntime::spawn(
             transport,
             incoming,
@@ -553,31 +527,82 @@ mod tests {
             })
         };
         entered_rx.recv().unwrap();
-        let (peer, _) = net.endpoint(NodeId::from_index(1));
         for _ in 0..BURST {
-            peer.send(me, Bytes::from_static(b"junk")).unwrap();
+            inbox.try_send(junk(me)).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while node.events.len() < BURST && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let queued_ahead = node.events.len();
-        // Queue a command behind the burst, then let the loop go.
+        // Queue a command behind the burst. It reports how many packets
+        // are still queued when it runs.
         let (ran_tx, ran_rx) = bounded(1);
         let queued = {
-            let node = Arc::clone(&node);
+            let (node, inbox) = (Arc::clone(&node), inbox.clone());
             std::thread::spawn(move || {
-                let _ = ran_tx.send(node.with_nso(|nso, _, _| nso.node()));
+                let _ = ran_tx.send(node.with_nso(move |nso, _, _| (nso.node(), inbox.len())));
             })
         };
-        while node.events.len() <= queued_ahead && Instant::now() < deadline {
+        let commands = node.commands.as_ref().expect("the node is running");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while commands.is_empty() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
         release_tx.send(()).unwrap();
         parked.join().unwrap();
-        assert_eq!(queued_ahead, BURST, "the burst was queued ahead");
-        assert_eq!(ran_rx.recv_timeout(Duration::from_secs(10)), Ok(me));
+        let (id, left) = ran_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the command ran");
+        assert_eq!(id, me);
+        // The loop takes one packet per turn, so the command ran while
+        // the burst was still queued, not after it.
+        assert!(
+            left >= BURST - 2,
+            "the command ran only after {} of {BURST} packets",
+            BURST - left
+        );
         queued.join().unwrap();
+    }
+
+    /// CPU time the calling thread has used, in clock ticks, where the
+    /// OS reports it.
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields 14 and 15 (utime, stime) follow the parenthesised name.
+        let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+        let ticks = |i: usize| fields.get(i)?.parse::<u64>().ok();
+        Some(ticks(11)? + ticks(12)?)
+    }
+
+    #[test]
+    fn a_node_whose_inbox_has_closed_keeps_serving() {
+        let me = NodeId::from_index(0);
+        let (transport, _) = ChannelNetwork::new().endpoint(me);
+        let (inbox, incoming) = bounded(FlowConfig::default().queue_capacity);
+        let node = NodeRuntime::spawn(transport, incoming, RuntimeOptions::new());
+        inbox.try_send(junk(me)).unwrap();
+        // Every sender of the inbox is gone, as when a TCP endpoint is
+        // shut down before its node.
+        drop(inbox);
+        let before = node.with_nso(|_, _, _| thread_cpu_ticks());
+        std::thread::sleep(Duration::from_millis(500));
+        let (id, after) = node.with_nso(|nso, _, _| (nso.node(), thread_cpu_ticks()));
+        assert_eq!(id, me, "the node still runs commands");
+        if let (Some(before), Some(after)) = (before, after) {
+            // A loop that spun on the closed inbox would use most of a
+            // CPU over the half second, about 50 ticks at 100 Hz.
+            assert!(
+                after - before <= 5,
+                "the loop used {} ticks of CPU while idle",
+                after - before
+            );
+        }
+        let (done_tx, done_rx) = bounded(1);
+        let stopper = std::thread::spawn(move || {
+            node.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown did not join within 1 s"
+        );
+        stopper.join().unwrap();
     }
 
     #[test]

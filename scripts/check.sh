@@ -4,9 +4,9 @@
 # no network access.
 #
 # Modes:
-#   scripts/check.sh          quick gate (every step below except loom
-#                             execution and Miri; loom tests still
-#                             compile)
+#   scripts/check.sh          quick gate (every step below except Miri
+#                             and all but one loom model: the loom tests
+#                             compile, and the doorbell model runs)
 #   scripts/check.sh --full   also runs the flow-queue model checks
 #                             under --cfg loom and, when a miri
 #                             toolchain is installed, the CDR tests
@@ -40,6 +40,12 @@ cargo test --workspace --offline -q
 
 echo "==> loom model tests compile (--cfg loom)"
 RUSTFLAGS="--cfg loom" cargo test --offline -q -p newtop-flow --no-run
+
+echo "==> loom doorbell model runs (--cfg loom, 64 iterations, the debug build above)"
+# A lost doorbell wake-up leaves newtop-rt's event loop asleep with work
+# queued; the model hangs on one.
+RUSTFLAGS="--cfg loom" LOOM_ITERS=64 cargo test --offline -q -p newtop-flow \
+    --test loom_queue -- --exact loom_doorbell_wakes_a_consumer_of_two_queues
 
 if [ "$FULL" = 1 ]; then
     echo "==> loom model tests run (--cfg loom, release)"
