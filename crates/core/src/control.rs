@@ -6,7 +6,7 @@
 //! every server has acknowledged. These control messages travel as
 //! ordinary ORB requests of [`crate::INV_CTRL_OPERATION`].
 
-use newtop_gcs::group::{FanoutMode, GroupId, OrderProtocol};
+use newtop_gcs::group::{GroupConfig, GroupId};
 use newtop_net::site::NodeId;
 use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, CdrError};
 
@@ -26,14 +26,10 @@ pub enum CtrlMessage {
         members: Vec<NodeId>,
         /// True for the closed style.
         closed: bool,
-        /// Total-order protocol for the client/server group.
-        ordering: OrderProtocol,
-        /// Time-silence period for the client/server group, microseconds.
-        time_silence_micros: u64,
-        /// Fan-out mode for the client/server group. Every member must
-        /// agree, or one side would chain round trips while the other
-        /// expects back-to-back (batchable) sends.
-        fanout: FanoutMode,
+        /// The client/server group's settings. Every member creates the
+        /// group from this one value, so client and servers cannot
+        /// disagree on a setting.
+        config: GroupConfig,
     },
 }
 
@@ -48,9 +44,7 @@ impl CdrEncode for CtrlMessage {
                 server_group,
                 members,
                 closed,
-                ordering,
-                time_silence_micros,
-                fanout,
+                config,
             } => {
                 enc.write_u8(TAG_BIND);
                 group.encode(enc);
@@ -58,15 +52,7 @@ impl CdrEncode for CtrlMessage {
                 server_group.encode(enc);
                 members.encode(enc);
                 enc.write_bool(*closed);
-                enc.write_u8(match ordering {
-                    OrderProtocol::Symmetric => 0,
-                    OrderProtocol::Asymmetric => 1,
-                });
-                enc.write_u64(*time_silence_micros);
-                enc.write_u8(match fanout {
-                    FanoutMode::Synchronous => 0,
-                    FanoutMode::Asynchronous => 1,
-                });
+                config.encode(enc);
             }
         }
     }
@@ -81,15 +67,7 @@ impl CdrDecode for CtrlMessage {
                 server_group: GroupId::decode(dec)?,
                 members: Vec::decode(dec)?,
                 closed: dec.read_bool()?,
-                ordering: match dec.read_u8()? {
-                    0 => OrderProtocol::Symmetric,
-                    _ => OrderProtocol::Asymmetric,
-                },
-                time_silence_micros: dec.read_u64()?,
-                fanout: match dec.read_u8()? {
-                    0 => FanoutMode::Synchronous,
-                    _ => FanoutMode::Asynchronous,
-                },
+                config: GroupConfig::decode(dec)?,
             }),
             other => Err(CdrError::BadDiscriminant(u32::from(other))),
         }
@@ -99,6 +77,8 @@ impl CdrDecode for CtrlMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newtop_gcs::group::{FanoutMode, OrderProtocol};
+    use std::time::Duration;
 
     #[test]
     fn bind_request_round_trips() {
@@ -108,9 +88,7 @@ mod tests {
             server_group: GroupId::new("servers"),
             members: vec![NodeId::from_index(0), NodeId::from_index(3)],
             closed: false,
-            ordering: OrderProtocol::Asymmetric,
-            time_silence_micros: 25_000,
-            fanout: FanoutMode::Synchronous,
+            config: GroupConfig::request_reply(),
         };
         assert_eq!(CtrlMessage::from_cdr(&m.to_cdr()).unwrap(), m);
     }
@@ -123,9 +101,12 @@ mod tests {
             server_group: GroupId::new("s"),
             members: vec![],
             closed: true,
-            ordering: OrderProtocol::Symmetric,
-            time_silence_micros: 1,
-            fanout: FanoutMode::Asynchronous,
+            config: GroupConfig {
+                ordering: OrderProtocol::Symmetric,
+                fanout: FanoutMode::Asynchronous,
+                time_silence: Duration::from_micros(1),
+                ..GroupConfig::request_reply()
+            },
         };
         assert_eq!(CtrlMessage::from_cdr(&m.to_cdr()).unwrap(), m);
     }

@@ -726,25 +726,6 @@ impl Nso {
         &self.dir_cache
     }
 
-    /// Group-communication diagnostics for one group, with the node's
-    /// protocol-event counters appended.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn gcs_diagnostics(&self, group: &GroupId) -> String {
-        let snap = self.metrics();
-        let events: Vec<String> = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("ev."))
-            .map(|(k, v)| format!("{}={v}", &k[3..]))
-            .collect();
-        format!(
-            "{} events[{}]",
-            self.gcs.diagnostics(group),
-            events.join(" ")
-        )
-    }
-
     /// A merged snapshot of this node's metrics: protocol-event counters
     /// (`ev.*`), group-communication counters (`gcs.*`) and invocation
     /// counters/latencies (`inv.*`), from both the invocation layer and
@@ -765,13 +746,6 @@ impl Nso {
         records.extend(self.gcs.observability().trace.iter().cloned());
         records.sort_by_key(|r| r.at);
         records
-    }
-
-    /// Server-core access for diagnostics.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn server_core(&self, group: &GroupId) -> Option<&ServerCore> {
-        self.servers.get(group)
     }
 
     /// The group-communication member, for tests and simulator
@@ -978,7 +952,6 @@ impl Nso {
             liveness: Liveness::EventDriven,
             time_silence: opts.time_silence,
             fanout: opts.fanout,
-            ..GroupConfig::default()
         };
         let ctrl = CtrlMessage::BindRequest {
             group: group.clone(),
@@ -986,9 +959,7 @@ impl Nso {
             server_group: server_group.clone(),
             members: members.clone(),
             closed: style == BindingStyle::Closed,
-            ordering: opts.ordering,
-            time_silence_micros: opts.time_silence.as_micros() as u64,
-            fanout: opts.fanout,
+            config: config.clone(),
         };
         let body = ctrl.to_cdr();
         let servers: Vec<NodeId> = members
@@ -1663,9 +1634,7 @@ impl Nso {
                 server_group,
                 members,
                 closed,
-                ordering,
-                time_silence_micros,
-                fanout,
+                config,
             } => {
                 if !self.servers.contains_key(&server_group) {
                     return Err(ServantError::User(Bytes::from_static(
@@ -1673,13 +1642,6 @@ impl Nso {
                     )));
                 }
                 if !self.roles.contains_key(&group) {
-                    let config = GroupConfig {
-                        ordering,
-                        liveness: Liveness::EventDriven,
-                        time_silence: Duration::from_micros(time_silence_micros),
-                        fanout,
-                        ..GroupConfig::default()
-                    };
                     let outs = with_net(&mut self.orb, &mut self.obs, out, |net| {
                         self.gcs
                             .create_group(group.clone(), config, members, now, net)
@@ -1861,23 +1823,36 @@ impl Nso {
         let Some(role) = self.roles.get(group).cloned() else {
             return;
         };
+        if matches!(role, GroupRole::Peer) {
+            self.outputs.push(NsoOutput::PeerDeliver {
+                group: group.clone(),
+                sender,
+                order,
+                lamport,
+                payload,
+            });
+            return;
+        }
+        // Every other role carries invocation messages: decode once, here,
+        // so a malformed one is counted whichever role it reached.
+        let Ok(msg) = InvMessage::from_cdr(&payload) else {
+            self.note_malformed(INV_OPERATION, now);
+            return;
+        };
         match role {
-            GroupRole::ClientBinding => match InvMessage::from_cdr(&payload) {
-                Ok(msg) => {
-                    let events = self.client.on_decoded(msg);
-                    self.map_client_events(events, now, out);
-                }
-                Err(_) => self.note_malformed(INV_OPERATION, now),
-            },
+            GroupRole::ClientBinding => {
+                let events = self.client.on_decoded(msg);
+                self.map_client_events(events, now, out);
+            }
             GroupRole::ServerGroup => {
-                self.serve_delivery(group.clone(), group, sender, &payload, now, out);
+                self.serve_delivery(group.clone(), group, sender, msg, now, out);
             }
             GroupRole::Served { server_group } | GroupRole::MonitorManager { server_group } => {
-                self.serve_delivery(server_group, group, sender, &payload, now, out);
+                self.serve_delivery(server_group, group, sender, msg, now, out);
             }
             GroupRole::MonitorCaller => {
                 if let Some(caller) = self.g2g_callers.get_mut(group) {
-                    if let Some(done) = caller.on_delivered(group, &payload) {
+                    if let Some(done) = caller.on_delivered(group, msg) {
                         self.outputs.push(NsoOutput::G2gComplete {
                             origin: done.origin,
                             number: done.number,
@@ -1886,33 +1861,21 @@ impl Nso {
                     }
                 }
             }
-            GroupRole::Peer => {
-                self.outputs.push(NsoOutput::PeerDeliver {
-                    group: group.clone(),
-                    sender,
-                    order,
-                    lamport,
-                    payload,
-                });
-            }
+            // Handed to the application above, undecoded.
+            GroupRole::Peer => {}
         }
     }
 
     /// Routes a delivery to a server core, running the group servant.
-    #[allow(clippy::too_many_arguments)]
     fn serve_delivery(
         &mut self,
         server_group: GroupId,
         delivered_in: &GroupId,
         sender: NodeId,
-        payload: &[u8],
+        msg: InvMessage,
         now: SimTime,
         out: &mut Outbox,
     ) {
-        let Ok(msg) = InvMessage::from_cdr(payload) else {
-            self.note_malformed(INV_OPERATION, now);
-            return;
-        };
         let cmds = {
             let Some(core) = self.servers.get_mut(&server_group) else {
                 return;

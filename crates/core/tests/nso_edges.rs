@@ -1,8 +1,8 @@
 //! Edge cases of the NSO public API: bind failures and timeouts, unknown
-//! bindings, plain (non-group) ORB invocations, the naming service, the
-//! one-message GCS frame, and the idle work a threaded host runs when its
-//! event queue empties (the flush of held order records, and symmetric
-//! order's idle nulls).
+//! bindings, plain (non-group) ORB invocations, the one-message GCS
+//! frame, and the idle work a threaded host runs when its event queue
+//! empties (the flush of held order records, and symmetric order's idle
+//! nulls).
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -21,9 +21,7 @@ use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 use newtop_orb::cdr::{CdrEncode, CdrEncoder};
 use newtop_orb::ior::ObjectRef;
-use newtop_orb::naming::{NameServer, NamingClient};
 use newtop_orb::orb::OrbCore;
-use newtop_orb::servant::Servant;
 
 type StartFn = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
 
@@ -242,18 +240,14 @@ fn api_errors_are_reported_synchronously() {
 }
 
 #[test]
-fn plain_invocations_and_naming_work_through_the_nso() {
+fn plain_invocations_work_through_the_nso() {
     let mut sim = Sim::new(SimConfig::lan(74));
-    // Node 0 hosts the name server and a plain servant.
+    // Node 0 hosts a plain servant.
     let server = sim.add_node(
         Site::Lan,
         Box::new(NsoNode::new(
             NodeId::from_index(0),
             Box::new(Probe::new(|nso, _, _| {
-                nso.register_plain_servant(
-                    newtop_orb::naming::NAME_SERVICE_KEY,
-                    Box::new(NameServer::new()) as Box<dyn Servant>,
-                );
                 nso.register_plain_servant(
                     "greeter",
                     Box::new(|_op: &str, args: &[u8]| {
@@ -266,28 +260,17 @@ fn plain_invocations_and_naming_work_through_the_nso() {
             })),
         )),
     );
-    // Node 1: bind the greeter in the name service, resolve it back, then
-    // invoke it — all plain one-to-one ORB calls.
+    // Node 1 invokes it, and an object node 0 does not host, with plain
+    // one-to-one ORB calls.
     let client = sim.add_node(
         Site::Lan,
         Box::new(NsoNode::new(
             NodeId::from_index(1),
             Box::new(Probe::new(move |nso, _, out| {
-                let ns = NamingClient::server_ref(server);
-                let greeter = newtop_orb::ior::ObjectRef::new(server, "greeter");
-                nso.plain_invoke(
-                    &ns,
-                    newtop_orb::naming::ops::BIND,
-                    NamingClient::encode_bind("greeter", &greeter),
-                    out,
-                );
-                nso.plain_invoke(
-                    &ns,
-                    newtop_orb::naming::ops::RESOLVE,
-                    NamingClient::encode_resolve("greeter"),
-                    out,
-                );
+                let greeter = ObjectRef::new(server, "greeter");
                 nso.plain_invoke(&greeter, "greet", Bytes::from_static(b"newtop"), out);
+                let missing = ObjectRef::new(server, "missing");
+                nso.plain_invoke(&missing, "greet", Bytes::new(), out);
             })),
         )),
     );
@@ -297,25 +280,14 @@ fn plain_invocations_and_naming_work_through_the_nso() {
         .iter()
         .filter(|o| matches!(o, NsoOutput::PlainReply { .. }))
         .collect();
-    assert_eq!(replies.len(), 3, "bind + resolve + greet all replied");
-    // The resolve reply decodes to the greeter's reference.
-    let resolved = replies.iter().find_map(|o| {
-        let NsoOutput::PlainReply {
-            result: Ok(body), ..
-        } = o
-        else {
-            return None;
-        };
-        NamingClient::decode_resolve_reply(body).ok().flatten()
-    });
-    assert_eq!(
-        resolved,
-        Some(newtop_orb::ior::ObjectRef::new(server, "greeter"))
-    );
-    // And the greeting came back.
+    assert_eq!(replies.len(), 2, "both calls replied");
+    // The greeting came back, and the missing object answered an error.
     assert!(replies.iter().any(|o| {
         matches!(o, NsoOutput::PlainReply { result: Ok(b), .. } if b.as_ref() == b"hello newtop")
     }));
+    assert!(replies
+        .iter()
+        .any(|o| matches!(o, NsoOutput::PlainReply { result: Err(_), .. })));
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Crash recovery: replaying snapshot + log into a usable state.
 //!
 //! [`replay`] folds a node's durable bytes — the framed
-//! [`NodeSnapshot`](crate::snapshot::NodeSnapshot), if one was
-//! installed, followed by every synced [`LogRecord`] — into a
+//! [`NodeSnapshot`], if one was installed, followed by every synced [`LogRecord`] — into a
 //! [`RecoveredState`]: per group, the configuration to rejoin with, the
 //! last installed view (whose members are the rejoin contacts) and the
 //! full delivery history. The history length is the group's

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use newtop_net::site::NodeId;
 
-use crate::log::{append_frame, read_frame, LogError, LogRecord};
+use crate::log::{append_frame, LogError, LogRecord};
 use crate::recovery::{replay, RecoveredState};
 use crate::snapshot::NodeSnapshot;
 
@@ -139,22 +139,6 @@ impl DurableStore {
     #[must_use]
     pub fn syncs(&self, node: NodeId) -> u64 {
         self.nodes.get(&node.index()).map_or(0, |s| s.syncs)
-    }
-
-    /// The installed snapshot, decoded, if any.
-    ///
-    /// # Errors
-    ///
-    /// Any [`LogError`] reading the snapshot frame.
-    pub fn snapshot_of(&self, node: NodeId) -> Result<Option<NodeSnapshot>, LogError> {
-        match self
-            .nodes
-            .get(&node.index())
-            .and_then(|s| s.snapshot.as_deref())
-        {
-            Some(framed) => Ok(Some(read_frame::<NodeSnapshot>(framed)?.0)),
-            None => Ok(None),
-        }
     }
 }
 

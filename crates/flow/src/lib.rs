@@ -27,26 +27,26 @@ pub mod queue;
 
 use std::collections::BTreeMap;
 
-/// Default sizes for the bounded queues and pending-call limits.
+/// The most in-flight invocations a client, caller group or passive
+/// server backlog holds before shedding new calls.
+pub const MAX_PENDING_CALLS: usize = 256;
+
+/// Default size of the bounded queues.
 ///
-/// Transports and runtimes size their queues from `queue_capacity`,
-/// and the invocation layer bounds in-flight calls by
-/// `max_pending_calls`. The GCS takes its send window and view-change
-/// buffer from `GroupConfig`, per group, not from here.
+/// Transports and runtimes size their queues from `queue_capacity`. The
+/// other bounds of the stack are constants: the invocation layer's
+/// [`MAX_PENDING_CALLS`], and the GCS's per-group send window and
+/// view-change buffer in `newtop-gcs`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Capacity of each bounded transport/runtime queue.
     pub queue_capacity: usize,
-    /// Maximum in-flight invocations a client, caller group or server
-    /// backlog will hold before shedding new calls.
-    pub max_pending_calls: usize,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             queue_capacity: 1024,
-            max_pending_calls: 256,
         }
     }
 }

@@ -391,12 +391,6 @@ impl<T> Sender<T> {
         self.len() == 0
     }
 
-    /// True if the queue is at capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.shared.capacity
-    }
-
     /// A live handle onto this queue's overload counters.
     #[must_use]
     pub fn stats(&self) -> QueueStats {

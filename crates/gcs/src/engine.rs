@@ -179,12 +179,6 @@ impl EngineConfig {
 }
 
 impl DeliveryEngine {
-    /// The view this engine serves.
-    #[must_use]
-    pub fn view_id(&self) -> ViewId {
-        self.view
-    }
-
     /// The sorted view membership.
     #[must_use]
     pub fn members(&self) -> &[NodeId] {
@@ -419,9 +413,9 @@ impl DeliveryEngine {
         self.order_base + self.order_log.len() as u64
     }
 
-    /// Order-log entries still held in memory (diagnostics and tests).
-    #[must_use]
-    pub(crate) fn order_log_retained(&self) -> usize {
+    /// Order-log entries still held in memory.
+    #[cfg(test)]
+    fn order_log_retained(&self) -> usize {
         self.order_log.len()
     }
 

@@ -2,8 +2,10 @@
 //!
 //! A group is created with a [`GroupConfig`] choosing its total-order
 //! technique ([`OrderProtocol`]) and its liveness regime ([`Liveness`]),
-//! exactly the two customisation axes §3 of the paper exposes to
-//! applications.
+//! the two customisation axes §3 of the paper exposes to applications,
+//! plus the time-silence period behind both and the multicast fan-out
+//! style ([`FanoutMode`], §2.2). `GroupConfig`'s CDR encoding is the one
+//! wire and storage form of these settings.
 
 use std::fmt;
 use std::time::Duration;
@@ -127,7 +129,17 @@ pub enum Liveness {
     EventDriven,
 }
 
-/// Per-group configuration.
+/// A member unheard-from for this many time-silence periods is suspected
+/// to have failed. A loaded member's heartbeats queue behind its traffic,
+/// so suspicion must tolerate that.
+const SUSPICION_MULTIPLE: u32 = 14;
+
+/// Per-group configuration: the four settings an application chooses for
+/// each group (§2.2, §3, §5.2). Every other protocol timing and bound of a
+/// group is a constant of `newtop-gcs`: the suspicion multiple (14
+/// time-silence periods), the NACK delay (10 ms), the view-change timeout
+/// (150 ms), the credit-based send window (64 multicasts outstanding) and
+/// the view-change send buffer (128 multicasts).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupConfig {
     /// Total-order technique.
@@ -140,21 +152,6 @@ pub struct GroupConfig {
     /// long emits an "I am alive" null message (while the mechanism is
     /// active).
     pub time_silence: Duration,
-    /// A member unheard-from for `time_silence * suspicion_multiple` is
-    /// suspected to have failed.
-    pub suspicion_multiple: u32,
-    /// How long a receiver waits on a sequence gap before NACKing.
-    pub nack_delay: Duration,
-    /// How long a view-change coordinator waits for state responses (and
-    /// participants wait for the install) before escalating.
-    pub view_change_timeout: Duration,
-    /// Credit-based send window: the most multicasts a member may have
-    /// outstanding (sent this view but unacknowledged by some member)
-    /// before further sends are shed with `GcsError::Overloaded`.
-    pub flow_window: u64,
-    /// The most multicasts buffered while a view agreement is in flight;
-    /// beyond this the send is shed instead of queued.
-    pub max_queued_multicasts: u32,
 }
 
 impl GroupConfig {
@@ -201,17 +198,11 @@ impl GroupConfig {
         self
     }
 
-    /// Sets the credit-based send window.
-    #[must_use]
-    pub fn with_flow_window(mut self, window: u64) -> Self {
-        self.flow_window = window;
-        self
-    }
-
-    /// The suspicion timeout implied by the configuration.
+    /// The suspicion timeout implied by the configuration: a member
+    /// unheard-from for 14 time-silence periods is suspected.
     #[must_use]
     pub fn suspicion_timeout(&self) -> Duration {
-        self.time_silence * self.suspicion_multiple
+        self.time_silence * SUSPICION_MULTIPLE
     }
 
     /// The smallest time-silence period at which this configuration's
@@ -224,21 +215,12 @@ impl GroupConfig {
     /// delayed, the previous one not). Doubling that gap as slack for
     /// queueing behind real traffic and requiring the suspicion timeout
     /// to cover it — `m·ts ≥ 2·(ts + 2·D)` — solves to
-    /// `ts ≥ 4·D / (m − 2)`. See DESIGN.md §11 for the derivation and
-    /// the false-suspicion-storm regression that pins it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suspicion_multiple ≤ 2`: such a detector cannot be
-    /// made safe by any time-silence period.
+    /// `ts ≥ 4·D / (m − 2)`, which with m = 14 is `ts ≥ D / 3`. See
+    /// DESIGN.md §11 for the derivation and the false-suspicion-storm
+    /// regression that pins it.
     #[must_use]
     pub fn recommended_time_silence(&self, worst_one_way: Duration) -> Duration {
-        assert!(
-            self.suspicion_multiple > 2,
-            "a suspicion multiple of {} leaves no safe time-silence period",
-            self.suspicion_multiple
-        );
-        let denom = u128::from(self.suspicion_multiple) - 2;
+        let denom = u128::from(SUSPICION_MULTIPLE - 2);
         let nanos = worst_one_way.as_nanos().saturating_mul(4).div_ceil(denom);
         Duration::from_nanos(nanos.min(u128::from(u64::MAX)) as u64).max(Duration::from_millis(1))
     }
@@ -259,11 +241,6 @@ impl CdrEncode for GroupConfig {
             FanoutMode::Asynchronous => 1,
         });
         enc.write_u64(self.time_silence.as_micros() as u64);
-        enc.write_u32(self.suspicion_multiple);
-        enc.write_u64(self.nack_delay.as_micros() as u64);
-        enc.write_u64(self.view_change_timeout.as_micros() as u64);
-        enc.write_u64(self.flow_window);
-        enc.write_u32(self.max_queued_multicasts);
     }
 }
 
@@ -289,30 +266,18 @@ impl CdrDecode for GroupConfig {
             liveness,
             fanout,
             time_silence: Duration::from_micros(dec.read_u64()?),
-            suspicion_multiple: dec.read_u32()?,
-            nack_delay: Duration::from_micros(dec.read_u64()?),
-            view_change_timeout: Duration::from_micros(dec.read_u64()?),
-            flow_window: dec.read_u64()?,
-            max_queued_multicasts: dec.read_u32()?,
         })
     }
 }
 
 impl Default for GroupConfig {
-    /// Asymmetric, event-driven, 25 ms time-silence, 14× suspicion (a
-    /// loaded member's heartbeats queue behind its traffic; suspicion must
-    /// tolerate that), 10 ms NACK delay, 150 ms view-change timeout.
+    /// Asymmetric, event-driven, synchronous fan-out, 25 ms time-silence.
     fn default() -> Self {
         GroupConfig {
             ordering: OrderProtocol::Asymmetric,
             liveness: Liveness::EventDriven,
             fanout: FanoutMode::Synchronous,
             time_silence: Duration::from_millis(25),
-            suspicion_multiple: 14,
-            nack_delay: Duration::from_millis(10),
-            view_change_timeout: Duration::from_millis(150),
-            flow_window: 64,
-            max_queued_multicasts: 128,
         }
     }
 }
@@ -341,19 +306,26 @@ mod tests {
     fn group_config_round_trips_via_cdr() {
         for cfg in [
             GroupConfig::default(),
-            GroupConfig::peer().with_flow_window(7),
+            GroupConfig::peer()
+                .with_liveness(Liveness::EventDriven)
+                .with_time_silence(Duration::from_micros(7)),
             GroupConfig::request_reply().with_time_silence(Duration::from_millis(3)),
         ] {
             let b = cfg.to_cdr();
+            // Three discriminant bytes, padding to 8, the period.
+            assert_eq!(b.len(), 16);
             assert_eq!(GroupConfig::from_cdr(&b).unwrap(), cfg);
         }
-        // A bad ordering discriminant is rejected, not defaulted.
-        let mut b = GroupConfig::default().to_cdr().to_vec();
-        b[0] = 9;
-        assert!(matches!(
-            GroupConfig::from_cdr(&b),
-            Err(CdrError::BadDiscriminant(9))
-        ));
+        // A bad ordering, liveness or fan-out discriminant is rejected,
+        // not defaulted.
+        for at in 0..3 {
+            let mut b = GroupConfig::default().to_cdr().to_vec();
+            b[at] = 9;
+            assert!(matches!(
+                GroupConfig::from_cdr(&b),
+                Err(CdrError::BadDiscriminant(9))
+            ));
+        }
     }
 
     #[test]
@@ -378,7 +350,7 @@ mod tests {
 
     #[test]
     fn recommended_time_silence_satisfies_the_tuning_rule() {
-        let c = GroupConfig::default(); // suspicion_multiple = 14
+        let c = GroupConfig::default();
         for worst_ms in [1u64, 12, 47, 120, 500] {
             let d = Duration::from_millis(worst_ms);
             let ts = c.recommended_time_silence(d);

@@ -65,6 +65,19 @@ const VC_RETRIES: u32 = 2;
 /// A threaded host also sends held records as soon as it runs out of
 /// work ([`GcsMember::on_idle`]), so the interval is only an upper bound.
 const ORDER_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_micros(500);
+/// How long a receiver waits on a sequence gap before NACKing.
+const NACK_DELAY: std::time::Duration = std::time::Duration::from_millis(10);
+/// How long a view-change coordinator waits for state responses (and a
+/// participant for the install) before escalating; also the interval at
+/// which a joiner re-sends its join request.
+const VIEW_CHANGE_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(150);
+/// Credit-based send window: the most multicasts a member may have
+/// outstanding (sent this view but unacknowledged by some member) before
+/// further sends are shed with [`GcsError::Overloaded`].
+const SEND_WINDOW: u64 = 64;
+/// The most multicasts held while a view agreement is in flight; beyond
+/// this a send is shed instead of queued.
+const MAX_QUEUED_MULTICASTS: usize = 128;
 
 /// Errors returned by the group API.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -390,11 +403,6 @@ impl GcsMember {
         &self.obs
     }
 
-    /// Mutable access, e.g. for the owner to fold in transport counters.
-    pub fn observability_mut(&mut self) -> &mut Observability {
-        &mut self.obs
-    }
-
     /// The flow-control ledger of a group this node belongs to (send
     /// window, in-flight count, shed total, peak).
     #[must_use]
@@ -433,12 +441,6 @@ impl GcsMember {
         self.node
     }
 
-    /// The node's current Lamport clock value (shared by all its groups).
-    #[must_use]
-    pub fn clock_value(&self) -> u64 {
-        self.clock.value()
-    }
-
     /// Advances the clock past an externally observed timestamp. A
     /// recovering node calls this with the highest Lamport stamp in its
     /// replayed history (and in each state-transfer chunk), so that
@@ -454,47 +456,10 @@ impl GcsMember {
         self.groups.get(group).map(|g| &g.view)
     }
 
-    /// Whether the node is a *full* member of the group (joined and not
-    /// left).
-    #[must_use]
-    pub fn is_member_of(&self, group: &GroupId) -> bool {
-        self.groups.get(group).is_some_and(GroupState::is_member)
-    }
-
-    /// The groups this node currently belongs to (including ones still
-    /// joining).
-    pub fn group_ids(&self) -> impl Iterator<Item = &GroupId> {
-        self.groups.keys()
-    }
-
     /// Whether `tag` belongs to one of this member's timers.
     #[must_use]
     pub fn owns_tag(&self, tag: u64) -> bool {
         self.timer_routes.contains_key(&tag)
-    }
-
-    /// Internal-state summary for debugging and tests.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn diagnostics(&self, group: &GroupId) -> String {
-        let Some(state) = self.groups.get(group) else {
-            return "no such group".to_owned();
-        };
-        format!(
-            "view={} missing={:?} order_gap={:?} order_len={} order_kept={} buffered={} undelivered={} nack_sched={} vc={} suspects={:?} delivered={:?} contig={:?}",
-            state.view,
-            state.engine.missing_ranges(),
-            state.engine.order_gap(),
-            state.engine.order_log_len(),
-            state.engine.order_log_retained(),
-            state.engine.buffered_count(),
-            state.engine.has_undelivered(),
-            state.nack_scheduled,
-            state.vc.is_some(),
-            state.suspects,
-            state.engine.delivered_vector(),
-            state.engine.contig_vector(),
-        )
     }
 
     // --- group API ---------------------------------------------------------
@@ -532,7 +497,7 @@ impl GcsMember {
         }
         .build()?;
         let me = self.node;
-        let mut flow = FlowController::new(config.flow_window);
+        let mut flow = FlowController::new(SEND_WINDOW);
         flow.install_view(view.members().iter().copied().filter(|&m| m != me));
         let state = GroupState {
             config,
@@ -605,10 +570,9 @@ impl GcsMember {
             protocol: config.ordering,
         }
         .build()?;
-        let retry = config.view_change_timeout;
         // Singleton placeholder membership: never sheds before the real
         // view installs (a joiner cannot multicast yet anyway).
-        let flow = FlowController::new(config.flow_window);
+        let flow = FlowController::new(SEND_WINDOW);
         self.groups.insert(
             group.clone(),
             GroupState {
@@ -645,7 +609,7 @@ impl GcsMember {
                 joiner: self.node,
             },
         );
-        self.schedule(&group, TimerKind::JoinRetry, retry, 0, net);
+        self.schedule(&group, TimerKind::JoinRetry, VIEW_CHANGE_TIMEOUT, 0, net);
         Ok(())
     }
 
@@ -713,11 +677,11 @@ impl GcsMember {
             // A view agreement is in flight: the old view's delivery set
             // is already frozen (see `queued_multicasts`), so hold the
             // message and send it into the new view once it installs —
-            // up to the configured bound, beyond which the send is shed.
+            // up to `MAX_QUEUED_MULTICASTS`, beyond which the send is shed.
             let Some(state) = self.groups.get_mut(group) else {
                 return Err(GcsError::UnknownGroup(group.clone()));
             };
-            if state.queued_multicasts.len() >= state.config.max_queued_multicasts as usize {
+            if state.queued_multicasts.len() >= MAX_QUEUED_MULTICASTS {
                 state.flow.note_shed();
                 self.note_flow_shed(group);
                 return Err(GcsError::Overloaded(group.clone()));
@@ -883,8 +847,8 @@ impl GcsMember {
     /// and announcements wait for company only while more events are
     /// queued behind them.
     ///
-    /// * Every group's ordering records held back by the
-    ///   [`ORDER_FLUSH_INTERVAL`] pacing go out at once.
+    /// * Every group's ordering records held back by the sequencer's
+    ///   500 µs pacing interval go out at once.
     /// * Every symmetric group in which this member has received
     ///   another member's total-order data stamped later than its own
     ///   last data or null gets one null (counted as `gcs.idle_nulls`).
@@ -1034,10 +998,9 @@ impl GcsMember {
         state.engine.gc_stable();
         let needs_scan = !state.nack_scheduled
             && (!state.engine.missing_ranges().is_empty() || state.engine.order_gap().is_some());
-        let delay = state.config.nack_delay;
         if needs_scan {
             state.nack_scheduled = true;
-            self.schedule(group, TimerKind::NackScan, delay, 0, net);
+            self.schedule(group, TimerKind::NackScan, NACK_DELAY, 0, net);
         }
         self.ensure_liveness(group, now, net);
     }
@@ -1257,9 +1220,14 @@ impl GcsMember {
                 joiners: state.joiners.iter().copied().collect(),
             };
             net.send(coordinator, &msg);
-            let timeout = state.config.view_change_timeout;
             let stamp = state.attempt + 1;
-            self.schedule(group, TimerKind::ViewChange, timeout, stamp, net);
+            self.schedule(
+                group,
+                TimerKind::ViewChange,
+                VIEW_CHANGE_TIMEOUT,
+                stamp,
+                net,
+            );
         }
     }
 
@@ -1301,8 +1269,13 @@ impl GcsMember {
             candidates.iter().copied().filter(|&c| c != node),
             &msg,
         );
-        let timeout = state.config.view_change_timeout;
-        self.schedule(group, TimerKind::ViewChange, timeout, attempt, net);
+        self.schedule(
+            group,
+            TimerKind::ViewChange,
+            VIEW_CHANGE_TIMEOUT,
+            attempt,
+            net,
+        );
         self.ensure_liveness(group, now, net);
         // Single-survivor case resolves immediately.
         self.maybe_finish_agreement(group, now, net);
@@ -1366,8 +1339,13 @@ impl GcsMember {
                 msgs,
             },
         );
-        let timeout = state.config.view_change_timeout;
-        self.schedule(group, TimerKind::ViewChange, timeout, attempt, net);
+        self.schedule(
+            group,
+            TimerKind::ViewChange,
+            VIEW_CHANGE_TIMEOUT,
+            attempt,
+            net,
+        );
         self.ensure_liveness(group, now, net);
     }
 
@@ -1759,10 +1737,9 @@ impl GcsMember {
                 }
             }
         }
-        let delay = state.config.nack_delay;
         if !ranges.is_empty() || order_gap.is_some() {
             state.nack_scheduled = true;
-            self.schedule(group, TimerKind::NackScan, delay, 0, net);
+            self.schedule(group, TimerKind::NackScan, NACK_DELAY, 0, net);
         }
     }
 
@@ -1796,8 +1773,13 @@ impl GcsMember {
                     for m in missing {
                         net.send(m, &msg);
                     }
-                    let timeout = state.config.view_change_timeout;
-                    self.schedule(group, TimerKind::ViewChange, timeout, stamp, net);
+                    self.schedule(
+                        group,
+                        TimerKind::ViewChange,
+                        VIEW_CHANGE_TIMEOUT,
+                        stamp,
+                        net,
+                    );
                     return;
                 }
                 // Still silent after the retries: drop them and go again.
@@ -1845,8 +1827,13 @@ impl GcsMember {
                             msgs,
                         },
                     );
-                    let timeout = state.config.view_change_timeout;
-                    self.schedule(group, TimerKind::ViewChange, timeout, stamp, net);
+                    self.schedule(
+                        group,
+                        TimerKind::ViewChange,
+                        VIEW_CHANGE_TIMEOUT,
+                        stamp,
+                        net,
+                    );
                     return;
                 }
                 if !state.is_member() {
@@ -1964,7 +1951,6 @@ impl GcsMember {
         let Role::Joining { contact } = state.role else {
             return; // joined already
         };
-        let retry = state.config.view_change_timeout;
         if state.vc.is_none() {
             net.send(
                 contact,
@@ -1974,7 +1960,7 @@ impl GcsMember {
                 },
             );
         }
-        self.schedule(group, TimerKind::JoinRetry, retry, 0, net);
+        self.schedule(group, TimerKind::JoinRetry, VIEW_CHANGE_TIMEOUT, 0, net);
     }
 
     // --- liveness helpers -----------------------------------------------------------
@@ -2129,13 +2115,13 @@ mod tests {
         let g = GroupId::new("g");
         m.create_group(
             g.clone(),
-            GroupConfig::peer().with_flow_window(2),
+            GroupConfig::peer(),
             vec![n(0), n(1)],
             SimTime::ZERO,
             &mut net,
         )
         .unwrap();
-        for _ in 0..2 {
+        for _ in 0..SEND_WINDOW {
             m.multicast(
                 &g,
                 DeliveryOrder::Total,
@@ -2158,7 +2144,7 @@ mod tests {
         assert_eq!(m.observability().metrics.counter("flow.shed"), 1);
         assert_eq!(
             m.observability().metrics.gauge("flow.queue_depth_peak"),
-            Some(2)
+            Some(SEND_WINDOW as i64)
         );
 
         // A data message from the peer acking our first send replenishes
@@ -2179,7 +2165,7 @@ mod tests {
             SimTime::ZERO,
             &mut net,
         );
-        assert_eq!(m.flow_of(&g).unwrap().in_flight(), 1);
+        assert_eq!(m.flow_of(&g).unwrap().in_flight(), SEND_WINDOW - 1);
         m.multicast(
             &g,
             DeliveryOrder::Total,

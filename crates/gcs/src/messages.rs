@@ -47,14 +47,6 @@ pub struct DataMsg {
     pub payload: Bytes,
 }
 
-impl DataMsg {
-    /// The message's unique identity within its view.
-    #[must_use]
-    pub fn msg_id(&self) -> (NodeId, u64) {
-        (self.sender, self.seq)
-    }
-}
-
 /// An "I am alive" time-silence message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NullMsg {

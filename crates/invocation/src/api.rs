@@ -106,14 +106,6 @@ pub enum BindingStyle {
     },
 }
 
-impl BindingStyle {
-    /// True for the open style.
-    #[must_use]
-    pub fn is_open(&self) -> bool {
-        matches!(self, BindingStyle::Open { .. })
-    }
-}
-
 /// Server-group replication discipline (§4.2).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Replication {

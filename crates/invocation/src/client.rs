@@ -11,9 +11,9 @@ use std::fmt;
 
 use bytes::Bytes;
 
+use newtop_flow::MAX_PENDING_CALLS;
 use newtop_gcs::group::GroupId;
 use newtop_net::site::NodeId;
-use newtop_orb::cdr::CdrDecode;
 
 use crate::api::{BindingStyle, CallId, InvCommand, InvMessage, ReplyMode};
 
@@ -90,16 +90,15 @@ pub struct ClientCore {
     node: NodeId,
     next_call: u64,
     bindings: BTreeMap<GroupId, BindingState>,
+    /// Bounded by [`MAX_PENDING_CALLS`]; new invocations beyond it are
+    /// shed.
     calls: BTreeMap<u64, CallState>,
-    /// Admission bound on `calls`; new invocations beyond it are shed.
-    max_pending: usize,
     /// Invocations shed by the admission bound since creation.
     shed: u64,
 }
 
 impl ClientCore {
-    /// Creates the client core for `node` with the default pending-call
-    /// bound from [`newtop_flow::FlowConfig`].
+    /// Creates the client core for `node`.
     #[must_use]
     pub fn new(node: NodeId) -> Self {
         ClientCore {
@@ -107,17 +106,8 @@ impl ClientCore {
             next_call: 1,
             bindings: BTreeMap::new(),
             calls: BTreeMap::new(),
-            max_pending: newtop_flow::FlowConfig::default().max_pending_calls,
             shed: 0,
         }
-    }
-
-    /// Sets the most calls that may await replies at once (clamped to at
-    /// least 1); further invocations shed with [`ClientError::Overloaded`].
-    #[must_use]
-    pub fn with_max_pending_calls(mut self, max: usize) -> Self {
-        self.max_pending = max.max(1);
-        self
     }
 
     /// Invocations shed by the pending-call bound since creation.
@@ -157,12 +147,6 @@ impl ClientCore {
         self.bindings.contains_key(group)
     }
 
-    /// The binding style of `group`, if bound.
-    #[must_use]
-    pub fn binding_style(&self, group: &GroupId) -> Option<&BindingStyle> {
-        self.bindings.get(group).map(|b| &b.style)
-    }
-
     /// Call numbers still awaiting replies.
     #[must_use]
     pub fn pending_calls(&self) -> Vec<u64> {
@@ -192,7 +176,7 @@ impl ClientCore {
             .bindings
             .get(group)
             .ok_or_else(|| ClientError::UnknownBinding(group.clone()))?;
-        if mode != ReplyMode::OneWay && self.calls.len() >= self.max_pending {
+        if mode != ReplyMode::OneWay && self.calls.len() >= MAX_PENDING_CALLS {
             self.shed += 1;
             return Err(ClientError::Overloaded(group.clone()));
         }
@@ -272,17 +256,9 @@ impl ClientCore {
     }
 
     /// Feeds a message delivered in one of the client's groups (or
-    /// received directly). Unknown or irrelevant payloads are ignored.
-    pub fn on_message(&mut self, payload: &[u8]) -> Vec<ClientEvent> {
-        let Ok(msg) = InvMessage::from_cdr(payload) else {
-            return Vec::new();
-        };
-        self.on_decoded(msg)
-    }
-
-    /// Like [`ClientCore::on_message`] for an already-unmarshalled
-    /// message. Hosts that decode at their ingest boundary (to count
-    /// malformed input) use this to avoid unmarshalling twice.
+    /// received directly), already unmarshalled: the host decodes at its
+    /// ingest boundary, where it counts malformed input. Messages that
+    /// are not replies to this client's pending calls are ignored.
     pub fn on_decoded(&mut self, msg: InvMessage) -> Vec<ClientEvent> {
         match msg {
             InvMessage::RelayedReply { call, replies } => self.complete_with(call, replies),
@@ -409,7 +385,7 @@ impl ClientCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newtop_orb::cdr::CdrEncode;
+    use newtop_orb::cdr::CdrDecode;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i)
@@ -419,18 +395,16 @@ mod tests {
         GroupId::new("cs")
     }
 
-    fn relayed(call: CallId, replies: Vec<(NodeId, Bytes)>) -> Vec<u8> {
-        InvMessage::RelayedReply { call, replies }.to_cdr().to_vec()
+    fn relayed(call: CallId, replies: Vec<(NodeId, Bytes)>) -> InvMessage {
+        InvMessage::RelayedReply { call, replies }
     }
 
-    fn direct(call: CallId, replier: NodeId, result: &[u8]) -> Vec<u8> {
+    fn direct(call: CallId, replier: NodeId, result: &[u8]) -> InvMessage {
         InvMessage::DirectReply {
             call,
             replier,
             result: Bytes::copy_from_slice(result),
         }
-        .to_cdr()
-        .to_vec()
     }
 
     fn open_client() -> ClientCore {
@@ -482,11 +456,11 @@ mod tests {
             (n(1), Bytes::from_static(b"a")),
             (n(2), Bytes::from_static(b"b")),
         ];
-        let events = c.on_message(&relayed(call, replies.clone()));
+        let events = c.on_decoded(relayed(call, replies.clone()));
         assert_eq!(events, vec![ClientEvent::Complete { call, replies }]);
         assert!(c.pending_calls().is_empty());
         // A duplicate relayed reply (retry race) is ignored.
-        assert!(c.on_message(&relayed(call, vec![])).is_empty());
+        assert!(c.on_decoded(relayed(call, vec![])).is_empty());
     }
 
     #[test]
@@ -495,13 +469,13 @@ mod tests {
         let (call, _, _) = c
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::Majority)
             .unwrap();
-        assert!(c.on_message(&direct(call, n(1), b"r1")).is_empty());
+        assert!(c.on_decoded(direct(call, n(1), b"r1")).is_empty());
         // Duplicate replier ignored.
-        assert!(c.on_message(&direct(call, n(1), b"r1")).is_empty());
-        let events = c.on_message(&direct(call, n(2), b"r2"));
+        assert!(c.on_decoded(direct(call, n(1), b"r1")).is_empty());
+        let events = c.on_decoded(direct(call, n(2), b"r2"));
         assert_eq!(events.len(), 1, "majority of 3 is 2");
         // Late third reply is stale.
-        assert!(c.on_message(&direct(call, n(3), b"r3")).is_empty());
+        assert!(c.on_decoded(direct(call, n(3), b"r3")).is_empty());
     }
 
     #[test]
@@ -513,7 +487,7 @@ mod tests {
         let (call, _, _) = c
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
             .unwrap();
-        assert!(c.on_message(&direct(call, n(1), b"r1")).is_empty());
+        assert!(c.on_decoded(direct(call, n(1), b"r1")).is_empty());
         // Two of three servers die: the one reply already in hand now
         // satisfies the quorum.
         let events = c.on_binding_view_change(&gid(), &[n(0), n(1)]);
@@ -529,7 +503,7 @@ mod tests {
         let (call, _, _) = c
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::First)
             .unwrap();
-        let events = c.on_message(&direct(call, n(2), b"r"));
+        let events = c.on_decoded(direct(call, n(2), b"r"));
         assert_eq!(events.len(), 1);
     }
 
@@ -543,7 +517,7 @@ mod tests {
             client: n(9),
             number: 1,
         };
-        assert!(c.on_message(&direct(foreign, n(2), b"r")).is_empty());
+        assert!(c.on_decoded(direct(foreign, n(2), b"r")).is_empty());
         assert_eq!(c.pending_calls().len(), 1);
     }
 
@@ -605,8 +579,8 @@ mod tests {
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
             .unwrap();
         // Two of three replied...
-        c.on_message(&direct(call, n(1), b"r1"));
-        c.on_message(&direct(call, n(2), b"r2"));
+        c.on_decoded(direct(call, n(1), b"r1"));
+        c.on_decoded(direct(call, n(2), b"r2"));
         assert_eq!(c.pending_calls(), vec![call.number]);
         // ...then the third crashed out of the view: the quorum shrinks
         // and the call completes without rebinding.
@@ -617,12 +591,14 @@ mod tests {
 
     #[test]
     fn pending_call_bound_sheds_and_recovers() {
-        let mut c = closed_client().with_max_pending_calls(2);
+        let mut c = closed_client();
         let (c1, _, _) = c
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::First)
             .unwrap();
-        c.invoke(&gid(), "op", Bytes::new(), ReplyMode::First)
-            .unwrap();
+        for _ in 1..MAX_PENDING_CALLS {
+            c.invoke(&gid(), "op", Bytes::new(), ReplyMode::First)
+                .unwrap();
+        }
         assert_eq!(
             c.invoke(&gid(), "op", Bytes::new(), ReplyMode::First),
             Err(ClientError::Overloaded(gid()))
@@ -633,7 +609,7 @@ mod tests {
             .invoke(&gid(), "notify", Bytes::new(), ReplyMode::OneWay)
             .is_ok());
         // Completing a call frees a slot.
-        c.on_message(&direct(c1, n(1), b"r"));
+        c.on_decoded(direct(c1, n(1), b"r"));
         assert!(c
             .invoke(&gid(), "op", Bytes::new(), ReplyMode::First)
             .is_ok());
@@ -641,7 +617,28 @@ mod tests {
 
     #[test]
     fn garbage_payloads_are_ignored() {
+        // Garbage never reaches the core: it fails to unmarshal at the
+        // host's ingest boundary, which counts it. What does reach the
+        // core but answers none of its calls (a request copy, a
+        // group-to-group reply) is ignored.
+        assert!(InvMessage::from_cdr(b"not cdr").is_err());
         let mut c = open_client();
-        assert!(c.on_message(b"not cdr").is_empty());
+        let (call, _, _) = c
+            .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
+            .unwrap();
+        let request = InvMessage::Request {
+            call,
+            op: "op".to_owned(),
+            args: Bytes::new(),
+            mode: ReplyMode::All,
+        };
+        assert!(c.on_decoded(request).is_empty());
+        let g2g = InvMessage::G2gReply {
+            origin: gid(),
+            number: call.number,
+            replies: vec![],
+        };
+        assert!(c.on_decoded(g2g).is_empty());
+        assert_eq!(c.pending_calls(), vec![call.number]);
     }
 }

@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use newtop_flow::MAX_PENDING_CALLS;
 use newtop_gcs::group::GroupId;
 use newtop_net::site::NodeId;
-use newtop_orb::cdr::CdrDecode;
 
 use crate::api::{InvCommand, InvMessage, ReplyMode};
 use crate::client::ClientError;
@@ -37,21 +37,19 @@ pub struct G2gCaller {
     origin: GroupId,
     monitor: GroupId,
     next_number: u64,
+    /// Bounded by [`MAX_PENDING_CALLS`]; calls beyond it shed.
     pending: BTreeMap<u64, ()>,
     /// Replies that arrived before this member issued its own copy of the
     /// call (possible: the group reply may be totally ordered before a
-    /// slow member's request copy).
+    /// slow member's request copy). Bounded like `pending`.
     early: BTreeMap<u64, Vec<(NodeId, Bytes)>>,
-    /// Admission bound on `pending` (and `early`); calls beyond it shed.
-    max_pending: usize,
     /// Calls shed by the admission bound since creation.
     shed: u64,
 }
 
 impl G2gCaller {
     /// Creates the caller for a member of `origin` attached to the
-    /// monitor group `monitor`, with the default pending-call bound from
-    /// [`newtop_flow::FlowConfig`].
+    /// monitor group `monitor`.
     #[must_use]
     pub fn new(node: NodeId, origin: GroupId, monitor: GroupId) -> Self {
         G2gCaller {
@@ -61,17 +59,8 @@ impl G2gCaller {
             next_number: 1,
             pending: BTreeMap::new(),
             early: BTreeMap::new(),
-            max_pending: newtop_flow::FlowConfig::default().max_pending_calls,
             shed: 0,
         }
-    }
-
-    /// Sets the most calls that may await replies at once (clamped to at
-    /// least 1); further calls shed with [`ClientError::Overloaded`].
-    #[must_use]
-    pub fn with_max_pending_calls(mut self, max: usize) -> Self {
-        self.max_pending = max.max(1);
-        self
     }
 
     /// Calls shed by the pending-call bound since creation.
@@ -127,7 +116,7 @@ impl G2gCaller {
         args: Bytes,
         mode: ReplyMode,
     ) -> Result<(u64, Vec<InvCommand>, Option<G2gComplete>), ClientError> {
-        if mode != ReplyMode::OneWay && self.pending.len() >= self.max_pending {
+        if mode != ReplyMode::OneWay && self.pending.len() >= MAX_PENDING_CALLS {
             self.shed += 1;
             return Err(ClientError::Overloaded(self.monitor.clone()));
         }
@@ -159,17 +148,19 @@ impl G2gCaller {
         Ok((number, commands, None))
     }
 
-    /// Feeds a message delivered in the monitor group. Returns the
-    /// completion if this was the awaited reply.
-    pub fn on_delivered(&mut self, group: &GroupId, payload: &[u8]) -> Option<G2gComplete> {
+    /// Feeds a message delivered in the monitor group, already
+    /// unmarshalled by the host. Returns the completion if this was the
+    /// awaited reply; every other message (request copies, foreign or
+    /// duplicate replies) is ignored.
+    pub fn on_delivered(&mut self, group: &GroupId, msg: InvMessage) -> Option<G2gComplete> {
         if group != &self.monitor {
             return None;
         }
-        let Ok(InvMessage::G2gReply {
+        let InvMessage::G2gReply {
             origin,
             number,
             replies,
-        }) = InvMessage::from_cdr(payload)
+        } = msg
         else {
             return None;
         };
@@ -182,7 +173,7 @@ impl G2gCaller {
             // bound as `pending`; drop true duplicates and overflow.
             if number >= self.next_number
                 && !self.early.contains_key(&number)
-                && self.early.len() < self.max_pending
+                && self.early.len() < MAX_PENDING_CALLS
             {
                 self.early.insert(number, replies);
             }
@@ -199,7 +190,7 @@ impl G2gCaller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newtop_orb::cdr::CdrEncode;
+    use newtop_orb::cdr::CdrDecode;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i)
@@ -239,12 +230,11 @@ mod tests {
             number,
             replies: vec![(n(1), Bytes::from_static(b"r"))],
         };
-        let payload = reply.to_cdr();
-        let done = c.on_delivered(&GroupId::new("gz"), &payload).unwrap();
+        let done = c.on_delivered(&GroupId::new("gz"), reply.clone()).unwrap();
         assert_eq!(done.number, number);
         assert_eq!(done.replies.len(), 1);
         // Duplicate is ignored.
-        assert!(c.on_delivered(&GroupId::new("gz"), &payload).is_none());
+        assert!(c.on_delivered(&GroupId::new("gz"), reply).is_none());
     }
 
     #[test]
@@ -256,16 +246,14 @@ mod tests {
             number,
             replies: vec![],
         };
-        assert!(c
-            .on_delivered(&GroupId::new("gz"), &wrong_origin.to_cdr())
-            .is_none());
+        assert!(c.on_delivered(&GroupId::new("gz"), wrong_origin).is_none());
         let wrong_group = InvMessage::G2gReply {
             origin: GroupId::new("gx"),
             number,
             replies: vec![],
         };
         assert!(c
-            .on_delivered(&GroupId::new("elsewhere"), &wrong_group.to_cdr())
+            .on_delivered(&GroupId::new("elsewhere"), wrong_group)
             .is_none());
         assert_eq!(c.pending(), vec![number]);
     }
@@ -279,9 +267,7 @@ mod tests {
             number: 1,
             replies: vec![(n(9), Bytes::from_static(b"r"))],
         };
-        assert!(c
-            .on_delivered(&GroupId::new("gz"), &reply.to_cdr())
-            .is_none());
+        assert!(c.on_delivered(&GroupId::new("gz"), reply).is_none());
         let (number, _, done) = c.invoke("op", Bytes::new(), ReplyMode::All).unwrap();
         assert_eq!(number, 1);
         let done = done.expect("buffered reply surfaces at invoke");
@@ -297,39 +283,41 @@ mod tests {
             panic!()
         };
         // Seeing another member's (or our own) request copy does nothing.
-        assert!(c.on_delivered(&GroupId::new("gz"), payload).is_none());
+        let copy = InvMessage::from_cdr(payload).unwrap();
+        assert!(c.on_delivered(&GroupId::new("gz"), copy).is_none());
     }
 
     #[test]
     fn shed_call_keeps_the_counter_in_step() {
-        let mut c = caller().with_max_pending_calls(1);
-        c.invoke("op", Bytes::new(), ReplyMode::All).unwrap();
+        let mut c = caller();
+        for _ in 0..MAX_PENDING_CALLS {
+            c.invoke("op", Bytes::new(), ReplyMode::All).unwrap();
+        }
         assert_eq!(
             c.invoke("op", Bytes::new(), ReplyMode::All),
             Err(ClientError::Overloaded(GroupId::new("gz")))
         );
         assert_eq!(c.shed_count(), 1);
-        // The group meanwhile answered call 2 (the other members issued
-        // it); the reply buffers as an early arrival because the counter
-        // was not consumed by the shed...
+        // The group meanwhile answered the next call (the other members
+        // issued it); the reply buffers as an early arrival because the
+        // counter was not consumed by the shed...
+        let next = MAX_PENDING_CALLS as u64 + 1;
         let reply = InvMessage::G2gReply {
             origin: GroupId::new("gx"),
-            number: 2,
+            number: next,
             replies: vec![(n(9), Bytes::from_static(b"r"))],
         };
-        assert!(c
-            .on_delivered(&GroupId::new("gz"), &reply.to_cdr())
-            .is_none());
-        // ...and call 1 completing frees the slot, so the retried invoke
-        // is number 2 and completes from the buffer.
+        assert!(c.on_delivered(&GroupId::new("gz"), reply).is_none());
+        // ...and call 1 completing frees a slot, so the retried invoke
+        // takes the next number and completes from the buffer.
         let one = InvMessage::G2gReply {
             origin: GroupId::new("gx"),
             number: 1,
             replies: vec![],
         };
-        assert!(c.on_delivered(&GroupId::new("gz"), &one.to_cdr()).is_some());
+        assert!(c.on_delivered(&GroupId::new("gz"), one).is_some());
         let (number, _, done) = c.invoke("op", Bytes::new(), ReplyMode::All).unwrap();
-        assert_eq!(number, 2);
+        assert_eq!(number, next);
         assert!(done.is_some());
     }
 }

@@ -22,10 +22,10 @@ use std::fmt;
 
 use bytes::Bytes;
 
+use newtop_flow::MAX_PENDING_CALLS;
 use newtop_gcs::group::GroupId;
 use newtop_net::site::NodeId;
 use newtop_net::trace::TraceEvent;
-use newtop_orb::cdr::CdrDecode;
 
 use crate::api::{CallId, InvCommand, InvMessage, OpenOptimisation, Replication, ReplyMode};
 
@@ -82,10 +82,8 @@ pub struct ServerCore {
     managed: BTreeMap<CallId, ManagedCall>,
     reply_cache: BTreeMap<NodeId, (u64, CachedReply)>,
     /// Passive backups: requests logged for replay on promotion. Bounded
-    /// by `max_backlog`; the oldest entry is dropped on overflow.
+    /// by [`MAX_PENDING_CALLS`]; the oldest entry is dropped on overflow.
     backlog: Vec<(CallId, String, Bytes)>,
-    /// Admission bound on `backlog`.
-    max_backlog: usize,
     /// Backlog entries dropped by the bound since creation.
     backlog_shed: u64,
     /// Per client: the last executed call number and its result (§4.1:
@@ -131,7 +129,6 @@ impl ServerCore {
             managed: BTreeMap::new(),
             reply_cache: BTreeMap::new(),
             backlog: Vec::new(),
-            max_backlog: newtop_flow::FlowConfig::default().max_pending_calls,
             backlog_shed: 0,
             last_exec: BTreeMap::new(),
             next_local_call: 1,
@@ -273,41 +270,10 @@ impl ServerCore {
         );
     }
 
-    /// Internal-state summary for debugging.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_state(&self) -> String {
-        format!(
-            "members={:?} managed={:?} last_exec={:?} reply_cache_nums={:?} backlog={}",
-            self.server_members,
-            self.managed
-                .iter()
-                .map(|(c, m)| (c.to_string(), m.needed, m.replies.len()))
-                .collect::<Vec<_>>(),
-            self.last_exec
-                .iter()
-                .map(|(c, (n, _))| (c.to_string(), *n))
-                .collect::<Vec<_>>(),
-            self.reply_cache
-                .iter()
-                .map(|(c, (n, _))| (c.to_string(), *n))
-                .collect::<Vec<_>>(),
-            self.backlog.len(),
-        )
-    }
-
     /// Number of requests logged by a passive backup.
     #[must_use]
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
-    }
-
-    /// Sets the most requests a passive backup logs for replay (clamped
-    /// to at least 1); the oldest is dropped when a new one overflows it.
-    #[must_use]
-    pub fn with_max_backlog(mut self, max: usize) -> Self {
-        self.max_backlog = max.max(1);
-        self
     }
 
     /// Backlog entries dropped by the bound since creation.
@@ -334,23 +300,9 @@ impl ServerCore {
     }
 
     /// Handles a message delivered in `group` (a server, client/server or
-    /// monitor group), returning the commands to execute.
-    pub fn on_delivered(
-        &mut self,
-        group: &GroupId,
-        sender: NodeId,
-        payload: &[u8],
-        exec: Exec<'_>,
-    ) -> Vec<InvCommand> {
-        let Ok(msg) = InvMessage::from_cdr(payload) else {
-            return Vec::new();
-        };
-        self.on_decoded(group, sender, msg, exec)
-    }
-
-    /// Like [`ServerCore::on_delivered`] for an already-unmarshalled
-    /// message. Hosts that decode at their ingest boundary (to count
-    /// malformed input) use this to avoid unmarshalling twice.
+    /// monitor group), returning the commands to execute. The host
+    /// unmarshals the message at its ingest boundary, where it counts
+    /// malformed input.
     pub fn on_decoded(
         &mut self,
         group: &GroupId,
@@ -618,7 +570,7 @@ impl ServerCore {
                 .get(&call.client)
                 .is_some_and(|(num, _)| *num >= call.number);
             if !seen {
-                if self.backlog.len() >= self.max_backlog {
+                if self.backlog.len() >= MAX_PENDING_CALLS {
                     // Keep the newest requests: on promotion the primary's
                     // reply cache masks re-sent old calls, while a dropped
                     // recent call is retried by its client (§4.1).
@@ -731,7 +683,7 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newtop_orb::cdr::CdrEncode;
+    use newtop_orb::cdr::CdrDecode;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i)
@@ -743,10 +695,6 @@ mod tests {
 
     fn cs() -> GroupId {
         GroupId::new("cs")
-    }
-
-    fn enc(m: &InvMessage) -> Vec<u8> {
-        m.to_cdr().to_vec()
     }
 
     /// An executor that answers `"{op}:{node}"` and counts invocations.
@@ -782,7 +730,7 @@ mod tests {
         let mut count = 0;
         let cmds = {
             let mut exec = counting_exec(1, &mut count);
-            s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::All)), &mut exec)
+            s.on_decoded(&cs(), n(0), request(1, ReplyMode::All), &mut exec)
         };
         assert_eq!(count, 0, "manager does not execute at request time");
         assert_eq!(cmds.len(), 1);
@@ -816,7 +764,7 @@ mod tests {
         let mut count = 0;
         let cmds = {
             let mut exec = counting_exec(2, &mut count);
-            s.on_delivered(&gs(), n(1), &enc(&fwd), &mut exec)
+            s.on_decoded(&gs(), n(1), fwd.clone(), &mut exec)
         };
         assert_eq!(count, 1);
         let InvCommand::Multicast { group, payload } = &cmds[0] else {
@@ -835,7 +783,7 @@ mod tests {
         // retained reply is resent so the new manager can collect it.
         let cmds = {
             let mut exec = counting_exec(2, &mut count);
-            s.on_delivered(&gs(), n(1), &enc(&fwd), &mut exec)
+            s.on_decoded(&gs(), n(1), fwd, &mut exec)
         };
         assert_eq!(count, 1, "no re-execution on retry");
         assert_eq!(cmds.len(), 1, "cached reply resent");
@@ -846,7 +794,7 @@ mod tests {
         let mut s = active_server(1);
         s.register_client_group(cs(), n(0), false);
         let mut exec = |op: &str, _: &[u8]| Bytes::from(format!("{op}:1"));
-        s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::All)), &mut exec);
+        s.on_decoded(&cs(), n(0), request(1, ReplyMode::All), &mut exec);
         let call = CallId {
             client: n(0),
             number: 1,
@@ -858,7 +806,7 @@ mod tests {
                 replier: n(replier),
                 result: Bytes::from(format!("r{replier}")),
             };
-            relay = s.on_delivered(&gs(), n(replier), &enc(&reply), &mut exec);
+            relay = s.on_decoded(&gs(), n(replier), reply, &mut exec);
         }
         assert_eq!(relay.len(), 1, "relayed only after all three replies");
         let InvCommand::Multicast { group, payload } = &relay[0] else {
@@ -877,7 +825,7 @@ mod tests {
         let mut s = active_server(1);
         s.register_client_group(cs(), n(0), false);
         let mut exec = |op: &str, _: &[u8]| Bytes::from(format!("{op}:1"));
-        s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::First)), &mut exec);
+        s.on_decoded(&cs(), n(0), request(1, ReplyMode::First), &mut exec);
         let call = CallId {
             client: n(0),
             number: 1,
@@ -887,10 +835,10 @@ mod tests {
             replier: n(2),
             result: Bytes::from_static(b"r"),
         };
-        s.on_delivered(&gs(), n(2), &enc(&reply), &mut exec);
+        s.on_decoded(&gs(), n(2), reply, &mut exec);
         // The client rebinds (or the reply was lost) and retries: the
         // cached answer comes back without touching the server group.
-        let cmds = s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::First)), &mut exec);
+        let cmds = s.on_decoded(&cs(), n(0), request(1, ReplyMode::First), &mut exec);
         assert_eq!(cmds.len(), 1);
         let InvCommand::Multicast { group, payload } = &cmds[0] else {
             panic!("expected multicast");
@@ -901,8 +849,7 @@ mod tests {
             InvMessage::RelayedReply { .. }
         ));
         // An older (stale) call number is dropped entirely.
-        let mut s2cmds =
-            s.on_delivered(&cs(), n(0), &enc(&request(0, ReplyMode::First)), &mut exec);
+        let mut s2cmds = s.on_decoded(&cs(), n(0), request(0, ReplyMode::First), &mut exec);
         assert!(s2cmds.is_empty());
         s2cmds.clear();
     }
@@ -914,7 +861,7 @@ mod tests {
         let mut count = 0;
         let cmds = {
             let mut exec = counting_exec(2, &mut count);
-            s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::All)), &mut exec)
+            s.on_decoded(&cs(), n(0), request(1, ReplyMode::All), &mut exec)
         };
         assert_eq!(count, 1, "closed group: execute immediately");
         assert_eq!(cmds.len(), 1);
@@ -930,7 +877,7 @@ mod tests {
         // re-execution.
         let cmds = {
             let mut exec = counting_exec(2, &mut count);
-            s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::All)), &mut exec)
+            s.on_decoded(&cs(), n(0), request(1, ReplyMode::All), &mut exec)
         };
         assert_eq!(count, 1);
         assert_eq!(cmds.len(), 1);
@@ -943,7 +890,7 @@ mod tests {
         let mut count = 0;
         let cmds = {
             let mut exec = counting_exec(2, &mut count);
-            s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::OneWay)), &mut exec)
+            s.on_decoded(&cs(), n(0), request(1, ReplyMode::OneWay), &mut exec)
         };
         assert_eq!(count, 1, "one-way still executes");
         assert!(cmds.is_empty());
@@ -962,7 +909,7 @@ mod tests {
         let mut count = 0;
         let cmds = {
             let mut exec = counting_exec(1, &mut count);
-            s.on_delivered(&cs(), n(0), &enc(&request(1, ReplyMode::First)), &mut exec)
+            s.on_decoded(&cs(), n(0), request(1, ReplyMode::First), &mut exec)
         };
         assert_eq!(count, 1, "primary executes at request time");
         assert_eq!(cmds.len(), 2);
@@ -1017,9 +964,7 @@ mod tests {
         {
             let mut exec = counting_exec(2, &mut count);
             for i in 1..=3 {
-                assert!(s
-                    .on_delivered(&gs(), n(1), &enc(&fwd(i)), &mut exec)
-                    .is_empty());
+                assert!(s.on_decoded(&gs(), n(1), fwd(i), &mut exec).is_empty());
             }
         }
         assert_eq!(count, 0, "backups receive but do not act (§4.2)");
@@ -1043,8 +988,7 @@ mod tests {
             gs(),
             Replication::Passive,
             OpenOptimisation::AsyncForwarding,
-        )
-        .with_max_backlog(2);
+        );
         s.set_server_view(vec![n(1), n(2), n(3)]);
         let fwd = |num: u64| InvMessage::Forwarded {
             call: CallId {
@@ -1060,18 +1004,21 @@ mod tests {
         let mut count = 0;
         {
             let mut exec = counting_exec(2, &mut count);
-            for i in 1..=4 {
-                s.on_delivered(&gs(), n(1), &enc(&fwd(i)), &mut exec);
+            for i in 1..=MAX_PENDING_CALLS as u64 + 2 {
+                s.on_decoded(&gs(), n(1), fwd(i), &mut exec);
             }
         }
-        assert_eq!(s.backlog_len(), 2, "bounded at the configured cap");
+        assert_eq!(s.backlog_len(), MAX_PENDING_CALLS, "bounded at the cap");
         assert_eq!(s.backlog_shed_count(), 2, "oldest two dropped");
         s.set_server_view(vec![n(2), n(3)]);
         let promoted = {
             let mut exec = counting_exec(2, &mut count);
             s.promote(&mut exec)
         };
-        assert_eq!(promoted, 2, "only the retained newest calls replay");
+        assert_eq!(
+            promoted, MAX_PENDING_CALLS,
+            "only the retained newest calls replay"
+        );
     }
 
     #[test]
@@ -1088,19 +1035,15 @@ mod tests {
             mode: ReplyMode::All,
         };
         let mut exec = |_: &str, _: &[u8]| Bytes::new();
-        let cmds = s.on_delivered(&gz, n(5), &enc(&req(5)), &mut exec);
+        let cmds = s.on_decoded(&gz, n(5), req(5), &mut exec);
         assert_eq!(cmds.len(), 1, "first copy forwarded");
         let InvCommand::Multicast { group, .. } = &cmds[0] else {
             panic!()
         };
         assert_eq!(group, &gs());
         // Copies from the other gx members are filtered.
-        assert!(s
-            .on_delivered(&gz, n(6), &enc(&req(6)), &mut exec)
-            .is_empty());
-        assert!(s
-            .on_delivered(&gz, n(7), &enc(&req(7)), &mut exec)
-            .is_empty());
+        assert!(s.on_decoded(&gz, n(6), req(6), &mut exec).is_empty());
+        assert!(s.on_decoded(&gz, n(7), req(7), &mut exec).is_empty());
     }
 
     #[test]
@@ -1118,7 +1061,7 @@ mod tests {
             args: Bytes::new(),
             mode: ReplyMode::All,
         };
-        let cmds = s.on_delivered(&gz, n(5), &enc(&req), &mut exec);
+        let cmds = s.on_decoded(&gz, n(5), req, &mut exec);
         let InvCommand::Multicast { payload, .. } = &cmds[0] else {
             panic!()
         };
@@ -1133,7 +1076,7 @@ mod tests {
                 replier: n(replier),
                 result: Bytes::from(format!("r{replier}")),
             };
-            out = s.on_delivered(&gs(), n(replier), &enc(&reply), &mut exec);
+            out = s.on_decoded(&gs(), n(replier), reply, &mut exec);
         }
         assert_eq!(out.len(), 1);
         let InvCommand::Multicast { group, payload } = &out[0] else {
@@ -1158,15 +1101,24 @@ mod tests {
         let mut s = active_server(1);
         let mut exec = |_: &str, _: &[u8]| Bytes::new();
         assert!(s
-            .on_delivered(
+            .on_decoded(
                 &GroupId::new("other"),
                 n(0),
-                &enc(&request(1, ReplyMode::All)),
+                request(1, ReplyMode::All),
                 &mut exec
             )
             .is_empty());
-        assert!(s
-            .on_delivered(&gs(), n(0), b"garbage", &mut exec)
-            .is_empty());
+        // Garbage fails to unmarshal at the host's ingest boundary, which
+        // counts it; a client-side message that reaches a server is
+        // ignored.
+        assert!(InvMessage::from_cdr(b"garbage").is_err());
+        let relayed = InvMessage::RelayedReply {
+            call: CallId {
+                client: n(0),
+                number: 1,
+            },
+            replies: vec![],
+        };
+        assert!(s.on_decoded(&gs(), n(0), relayed, &mut exec).is_empty());
     }
 }

@@ -192,7 +192,7 @@ impl dyn SimNode {
         (self as &dyn Any).downcast_ref()
     }
 
-    /// Mutable variant of [`dyn SimNode::downcast_ref`](Self::downcast_ref).
+    /// Mutable variant of `downcast_ref`.
     #[must_use]
     pub fn downcast_mut<T: SimNode>(&mut self) -> Option<&mut T> {
         (self as &mut dyn Any).downcast_mut()
@@ -666,12 +666,6 @@ impl Sim {
             }
         }
         self.now = self.now.max(deadline);
-    }
-
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.

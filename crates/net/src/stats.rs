@@ -198,15 +198,6 @@ impl Series {
             .windows(2)
             .all(|w| w[1].1 >= w[0].1 * (1.0 - slack))
     }
-
-    /// True if y never increases by more than `slack` (relative) along the
-    /// series.
-    #[must_use]
-    pub fn is_non_increasing(&self, slack: f64) -> bool {
-        self.points
-            .windows(2)
-            .all(|w| w[1].1 <= w[0].1 * (1.0 + slack))
-    }
 }
 
 /// A plain-text table with a title, column headers and float rows — the
@@ -237,11 +228,6 @@ impl TextTable {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Appends a row of floats, formatted to one decimal place.
-    pub fn row_f64(&mut self, cells: &[f64]) {
-        self.row(cells.iter().map(|v| format!("{v:.1}")).collect());
     }
 
     /// Builds a table from a set of series sharing the same x values: the

@@ -2,8 +2,9 @@
 //!
 //! The simulator delivers packets itself; real deployments instead plug a
 //! [`WireTransport`] implementation into the threaded runtime. Incoming
-//! packets are pushed to a crossbeam channel supplied at construction, and
-//! outgoing packets go through [`WireTransport::send`].
+//! packets are pushed to a bounded `newtop_flow::queue` channel supplied
+//! at construction, and outgoing packets go through
+//! [`WireTransport::send`].
 
 use std::error::Error;
 use std::fmt;

@@ -18,9 +18,11 @@
 //! * [`servant`] — servants and the object adapter;
 //! * [`orb`] — the sans-IO ORB core: synchronous-style request/reply
 //!   correlation, oneway invocations and servant dispatch, driven by
-//!   whatever runtime owns it (simulator or threads);
-//! * [`naming`] — a minimal naming service (bind/resolve), the CORBA
-//!   NameService stand-in.
+//!   whatever runtime owns it (simulator or threads).
+//!
+//! There is no CORBA NameService stand-in: a group is found by name
+//! through the replicated directory of `newtop-dir`, and a plain object
+//! by its [`ior::ObjectRef`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +30,6 @@
 pub mod cdr;
 pub mod giop;
 pub mod ior;
-pub mod naming;
 pub mod orb;
 pub mod servant;
 

@@ -543,7 +543,6 @@ pub fn run_peer(s: &PeerScenario) -> PeerResult {
         // operation (§5.2): fan-outs do not chain round trips.
         fanout: FanoutMode::Asynchronous,
         time_silence: s.time_silence,
-        ..GroupConfig::default()
     };
     let sites = [Site::Newcastle, Site::London, Site::Pisa];
     for (i, &id) in members.iter().enumerate() {

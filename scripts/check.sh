@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints, static analysis, tests.
+# Repo-wide hygiene gate: formatting, lints, doc links, static analysis,
+# tests.
 # Offline-friendly — everything below works from the vendored deps with
 # no network access.
 #
@@ -25,6 +26,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings are errors: every intra-doc link resolves)"
+# A deleted or made-private item leaves dangling links in the docs that
+# name it; nothing else checks them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 echo "==> static analysis (newtop-analyze: call-graph reachability rules + baseline diff gate)"
 cargo run --release --offline -q -p newtop-analyze -- --self-test

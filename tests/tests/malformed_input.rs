@@ -29,6 +29,7 @@
 //! were rewritten into actually fire.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use newtop::control::CtrlMessage;
@@ -37,12 +38,12 @@ use newtop_dir::harness::{decode_recovery, encode_recovery, RecoveryMsg};
 use newtop_dir::log::{append_frame, read_frame, DeliveredRec, LogRecord};
 use newtop_dir::snapshot::{GroupSnapshot, NodeSnapshot};
 use newtop_gcs::clock::DepsVector;
-use newtop_gcs::group::{DeliveryOrder, FanoutMode, GroupConfig, GroupId, OrderProtocol};
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
 use newtop_gcs::messages::{DataMsg, GcsMessage, NullMsg};
 use newtop_gcs::view::{View, ViewId};
 use newtop_invocation::api::{CallId, InvMessage, ReplyMode};
 use newtop_net::site::NodeId;
-use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder};
+use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, CdrError};
 use newtop_orb::giop::{GiopMessage, ReplyStatus, SystemException};
 use newtop_orb::ior::{GroupObjectRef, ObjectKey, ObjectRef};
 use proptest::prelude::*;
@@ -131,6 +132,26 @@ fn node(i: u32) -> NodeId {
     NodeId::from_index(i)
 }
 
+/// A binding-control request for client/server group `cs:5:1` (client
+/// 5, server group `replicas` on node 1, open style) whose
+/// `GroupConfig` carries the given ordering, liveness and fan-out bytes
+/// and a 25 ms time-silence period, written field by field so that a
+/// byte no encoder produces can be sent.
+fn bind_request_with_config_bytes(ordering: u8, liveness: u8, fanout: u8) -> Bytes {
+    let mut enc = CdrEncoder::new();
+    enc.write_u8(0); // the BindRequest tag
+    GroupId::new("cs:5:1").encode(&mut enc);
+    node(5).encode(&mut enc);
+    GroupId::new("replicas").encode(&mut enc);
+    vec![node(5), node(1)].encode(&mut enc);
+    enc.write_bool(false);
+    enc.write_u8(ordering);
+    enc.write_u8(liveness);
+    enc.write_u8(fanout);
+    enc.write_u64(25_000);
+    enc.finish()
+}
+
 fn sample_data_msg() -> DataMsg {
     let mut deps = DepsVector::new();
     deps.set(node(1), 3);
@@ -206,9 +227,7 @@ fn samples() -> Vec<(&'static str, Bytes, DecodeFn)> {
                 server_group: group.clone(),
                 members: vec![node(5), node(1), node(2)],
                 closed: true,
-                ordering: OrderProtocol::Asymmetric,
-                time_silence_micros: 50_000,
-                fanout: FanoutMode::Synchronous,
+                config: GroupConfig::request_reply().with_time_silence(Duration::from_millis(50)),
             }
             .to_cdr(),
             via_cdr::<CtrlMessage>,
@@ -562,6 +581,28 @@ fn bad_discriminants_are_typed_errors() {
     assert!(InvMessage::from_cdr(&[9]).is_err());
     assert!(CtrlMessage::from_cdr(&[7]).is_err());
 
+    // A binding-control request whose group configuration carries an
+    // unknown ordering, liveness or fan-out byte. The hand-written layout
+    // is the encoder's: known bytes decode to the request it encodes.
+    assert_eq!(
+        CtrlMessage::from_cdr(&bind_request_with_config_bytes(1, 1, 0)).unwrap(),
+        CtrlMessage::BindRequest {
+            group: GroupId::new("cs:5:1"),
+            client: node(5),
+            server_group: GroupId::new("replicas"),
+            members: vec![node(5), node(1)],
+            closed: false,
+            config: GroupConfig::request_reply(),
+        }
+    );
+    for bytes in [(9, 1, 0), (1, 9, 0), (1, 1, 9)] {
+        assert_eq!(
+            CtrlMessage::from_cdr(&bind_request_with_config_bytes(bytes.0, bytes.1, bytes.2)),
+            Err(CdrError::BadDiscriminant(9)),
+            "config bytes {bytes:?}"
+        );
+    }
+
     // A DataMsg whose delivery-order code is out of range: valid fields
     // up to the order byte, then 9.
     let mut enc = CdrEncoder::new();
@@ -683,6 +724,158 @@ fn nso_counts_and_traces_malformed_bodies() {
         .trace()
         .iter()
         .any(|r| r.event.kind() == "malformed_dropped"));
+}
+
+#[test]
+fn a_serving_nso_refuses_a_bind_request_with_an_unknown_config() {
+    use newtop::nso::Nso;
+    use newtop::INV_CTRL_OPERATION;
+    use newtop_gcs::NSO_OBJECT_KEY;
+    use newtop_invocation::api::{OpenOptimisation, Replication};
+    use newtop_net::sim::{Outbox, Packet};
+    use newtop_net::time::SimTime;
+
+    let mut nso = Nso::new(node(1));
+    let mut out = Outbox::detached(0);
+    nso.create_server_group(
+        GroupId::new("replicas"),
+        vec![node(1)],
+        Replication::Active,
+        OpenOptimisation::None,
+        GroupConfig::request_reply(),
+        SimTime::ZERO,
+        &mut out,
+    )
+    .expect("a one-member server group");
+    // Client 5 asks node 1 to create `cs:5:1`, first with an unknown
+    // fan-out byte, then with a well-formed configuration.
+    let ctrl = |nso: &mut Nso, request_id: u64, body: Bytes| -> ReplyStatus {
+        let frame = GiopMessage::Request {
+            request_id,
+            object_key: ObjectKey::new(NSO_OBJECT_KEY),
+            operation: INV_CTRL_OPERATION.to_string(),
+            response_expected: true,
+            body,
+        }
+        .to_frame();
+        let pkt = Packet {
+            src: node(5),
+            dst: node(1),
+            payload: frame,
+        };
+        let mut out = Outbox::detached(0);
+        nso.on_packet(&pkt, SimTime::ZERO, &mut out);
+        let sends = out.into_parts().sends;
+        assert_eq!(sends.len(), 1, "one reply to the client");
+        assert_eq!(sends[0].0, node(5));
+        match GiopMessage::from_frame(&sends[0].1) {
+            Ok(GiopMessage::Reply {
+                request_id: r,
+                status,
+                ..
+            }) if r == request_id => status,
+            other => panic!("expected the reply to request {request_id}, got {other:?}"),
+        }
+    };
+    let status = ctrl(&mut nso, 1, bind_request_with_config_bytes(1, 1, 9));
+    assert_ne!(status, ReplyStatus::NoException);
+    assert_eq!(nso.metrics().counter("decode.malformed"), 1);
+    assert!(nso
+        .trace()
+        .iter()
+        .any(|r| r.event.kind() == "malformed_dropped"));
+    assert!(nso.view_of(&GroupId::new("cs:5:1")).is_none());
+
+    let status = ctrl(&mut nso, 2, bind_request_with_config_bytes(1, 1, 0));
+    assert_eq!(status, ReplyStatus::NoException);
+    assert_eq!(nso.metrics().counter("decode.malformed"), 1);
+    assert!(nso.view_of(&GroupId::new("cs:5:1")).is_some());
+}
+
+#[test]
+fn a_malformed_invocation_in_a_monitor_group_is_counted() {
+    use newtop::nso::{Nso, NsoOutput};
+    use newtop_gcs::{GCS_OPERATION, NSO_OBJECT_KEY};
+    use newtop_net::sim::{Outbox, Packet};
+    use newtop_net::time::SimTime;
+
+    // Node 0 is a member of origin group `gx`, attached to the monitor
+    // group `gz` whose request manager is node 1.
+    let (gx, gz) = (GroupId::new("gx"), GroupId::new("gz"));
+    let mut nso = Nso::new(node(0));
+    let mut out = Outbox::detached(0);
+    nso.setup_monitor_group(
+        gz.clone(),
+        gx.clone(),
+        node(1),
+        GroupId::new("replicas"),
+        vec![node(0), node(1)],
+        GroupConfig::request_reply(),
+        SimTime::ZERO,
+        &mut out,
+    )
+    .expect("node 0 joins as a caller");
+    // The manager's multicasts in `gz`, hand-built: a GCS data message
+    // inside a oneway GIOP request to node 0's NSO.
+    let mut deliver = |nso: &mut Nso, seq: u64, payload: Bytes| {
+        let msg = DataMsg {
+            group: gz.clone(),
+            view: ViewId(1),
+            sender: node(1),
+            seq,
+            lamport: seq,
+            order: DeliveryOrder::Causal,
+            deps: DepsVector::new(),
+            acks: vec![],
+            payload,
+        };
+        let frame = GiopMessage::Request {
+            request_id: seq,
+            object_key: ObjectKey::new(NSO_OBJECT_KEY),
+            operation: GCS_OPERATION.to_string(),
+            response_expected: false,
+            body: GcsMessage::Data(Arc::new(msg)).to_cdr(),
+        }
+        .to_frame();
+        let pkt = Packet {
+            src: node(1),
+            dst: node(0),
+            payload: frame,
+        };
+        nso.on_packet(&pkt, SimTime::ZERO, &mut out);
+    };
+    deliver(&mut nso, 1, Bytes::from_static(&[0xFF; 32]));
+    assert_eq!(nso.metrics().counter("decode.malformed"), 1);
+    assert!(nso
+        .trace()
+        .iter()
+        .any(|r| r.event.kind() == "malformed_dropped"));
+
+    // A well-formed reply in the same group reaches the caller: the
+    // group's answer to call 1 buffers, and node 0's call 1 completes
+    // from it.
+    let reply = InvMessage::G2gReply {
+        origin: gx.clone(),
+        number: 1,
+        replies: vec![(node(1), Bytes::from_static(b"r"))],
+    };
+    deliver(&mut nso, 2, reply.to_cdr());
+    assert_eq!(nso.metrics().counter("decode.malformed"), 1);
+    nso.take_outputs();
+    let mut out = Outbox::detached(0);
+    nso.g2g_invoke(
+        &gz,
+        "op",
+        Bytes::new(),
+        ReplyMode::All,
+        SimTime::ZERO,
+        &mut out,
+    )
+    .expect("the caller is attached");
+    assert!(nso
+        .take_outputs()
+        .iter()
+        .any(|o| matches!(o, NsoOutput::G2gComplete { number: 1, .. })));
 }
 
 proptest! {
